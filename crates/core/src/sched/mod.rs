@@ -513,6 +513,12 @@ pub trait MemoryController {
     /// `t` ended the span early, or `from` when the controller does not
     /// support bulk advancement here (the default; `out` untouched, no
     /// side effects) and the caller must step per-cycle.
+    ///
+    /// A decline must depend only on state that stays fixed for the
+    /// whole span — such as whether an observer (command recording,
+    /// obs recording, obs events) is armed — never on the cycle or on
+    /// queue contents: callers stop offering the rest of a span after
+    /// the first decline.
     fn fast_forward(&mut self, from: Cycle, until: Cycle, out: &mut Vec<Completion>) -> Cycle {
         let _ = (until, out);
         from

@@ -943,14 +943,15 @@ impl System {
     /// stopping right after the first completion-producing tick, whose
     /// completions then flow through the staging below unchanged —
     /// while the default declines and the per-cycle grind proceeds.
+    /// A controller that declines once is not asked again in the span.
     fn batch_ticks(&mut self, mut until: u64) {
         let start = self.dram_cycle;
         let mut c = start;
         let mut buf = std::mem::take(&mut self.completion_buf);
-        let opaque = self.monitor.is_none() && !self.obs_on();
+        let mut offer = self.monitor.is_none() && !self.obs_on();
         while c < until {
             buf.clear();
-            if opaque {
+            if offer {
                 let r = self.mc.fast_forward(c, until, &mut buf);
                 if r == until && buf.is_empty() {
                     // Clean hop to the span end: every tick in the span
@@ -965,6 +966,9 @@ impl System {
                     // fault); resume the per-tick bookkeeping there.
                     c = r - 1;
                 } else {
+                    // Declined: the controller's answer is fixed for the
+                    // span (see the trait contract), so stop asking.
+                    offer = false;
                     self.mc.tick_into(c, &mut buf);
                 }
             } else {
