@@ -23,7 +23,7 @@
 use fsmc_bench::{save_result_or_warn, seed};
 use fsmc_core::sched::SchedulerKind;
 use fsmc_dram::DeviceGeneration;
-use fsmc_security::check_noninterference_faulted;
+use fsmc_security::Scenario;
 use fsmc_sim::engine::{env_flag, env_u64};
 use fsmc_sim::{run_campaign, CampaignConfig, Engine, Outcome};
 use std::process::ExitCode;
@@ -69,7 +69,7 @@ fn main() -> ExitCode {
         // Security under fault: non-interference must survive every plan
         // the system degrades gracefully on (probe a bounded sample).
         for case in report.cases.iter().filter(|c| c.outcome == Outcome::GracefulDegrade).take(3) {
-            match check_noninterference_faulted(kind, 800, 5, &case.plan) {
+            match Scenario::new(kind, 800, 5).on(device).with_plan(case.plan.clone()).check() {
                 Ok(r) if r.is_non_interfering() => println!(
                     "case {:>3}  non-interference holds under '{}'",
                     case.index,

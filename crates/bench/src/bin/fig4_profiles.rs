@@ -4,7 +4,7 @@
 //! concurrently on the experiment engine.
 
 use fsmc_core::sched::SchedulerKind as K;
-use fsmc_security::noninterference::{execution_profile, CoRunners};
+use fsmc_security::noninterference::{CoRunners, Scenario};
 use fsmc_sim::Engine;
 use std::process::ExitCode;
 
@@ -20,8 +20,9 @@ fn main() -> ExitCode {
         (K::FsRankPartitioned, CoRunners::Idle),
         (K::FsRankPartitioned, CoRunners::MemoryIntensive),
     ];
-    let profiles = Engine::from_env()
-        .map(&cases, |_, &(kind, co)| execution_profile(kind, co, bucket, buckets));
+    let profiles = Engine::from_env().map(&cases, |_, &(kind, co)| {
+        Scenario::new(kind, bucket, buckets).profile(co).expect("paper configuration builds")
+    });
     let [base_idle, base_mem, fs_idle, fs_mem] = &profiles[..] else {
         unreachable!("map preserves slot count")
     };

@@ -6,7 +6,8 @@
 //!   instructions, Figure 4) and divergence metrics between them.
 //! * [`noninterference`] — the harness that runs an attacker thread
 //!   against maximally different co-runner environments and checks
-//!   whether its timing changes. Under FS the profiles must be
+//!   whether its timing changes, described by one [`Scenario`]
+//!   (scheduler, device, optional fault plan). Under FS the profiles must be
 //!   **bit-identical**; under the non-secure baseline they diverge.
 //! * [`leakage`] — a histogram mutual-information estimator between
 //!   observed latencies and a secret, plus binary-channel capacity.
@@ -27,10 +28,5 @@ pub use channel::{
 pub use leakage::{
     binary_channel_capacity, mutual_information, try_mutual_information, LeakageError,
 };
-pub use noninterference::{
-    check_churn_noninterference, check_churn_noninterference_on, check_noninterference,
-    check_noninterference_faulted, check_noninterference_on, execution_profile,
-    execution_profile_churned, execution_profile_churned_on, execution_profile_faulted,
-    execution_profile_on, ChurnEnv, ChurnReport, NonInterferenceReport,
-};
+pub use noninterference::{ChurnEnv, ChurnReport, NonInterferenceReport, Scenario};
 pub use profile::ExecutionProfile;

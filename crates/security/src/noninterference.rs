@@ -37,85 +37,141 @@ impl NonInterferenceReport {
     }
 }
 
-/// Measures the execution profile of an mcf-like attacker on core 0 under
-/// `scheduler`, co-scheduled with seven `co` threads.
-pub fn execution_profile(
-    scheduler: SchedulerKind,
-    co: CoRunners,
-    bucket_instrs: u64,
-    buckets: usize,
-) -> ExecutionProfile {
-    execution_profile_on(DeviceGeneration::Ddr3_1600, scheduler, co, bucket_instrs, buckets)
+/// One non-interference experiment: an mcf-like observer on core 0 of
+/// an 8-core system under `scheduler` on `device`, seven co-runners, and
+/// optionally a fault plan.
+///
+/// Without a plan the run is the bare Figure 4 measurement: no monitor,
+/// no health checks. With a plan (even an empty one) the online
+/// invariant monitor is armed, the plan is armed through
+/// [`FaultPlan::arm_config`] and [`FaultPlan::arm_system`] exactly as
+/// the experiment engine arms a job, and any stall, poisoning or
+/// invariant breach surfaces as a structured error carrying the plan's
+/// repro provenance. Trace-corruption faults do not apply: the harness
+/// owns its traces, because the observer's instruction stream must stay
+/// identical across environments for profiles to be comparable at all.
+///
+/// ```no_run
+/// use fsmc_core::sched::SchedulerKind;
+/// use fsmc_security::Scenario;
+///
+/// let report = Scenario::new(SchedulerKind::FsRankPartitioned, 10_000, 20).check().unwrap();
+/// assert!(report.is_non_interfering()); // divergence is exactly zero
+/// ```
+#[derive(Debug, Clone)]
+pub struct Scenario {
+    pub scheduler: SchedulerKind,
+    /// Defaults to the paper's DDR3-1600: the FS guarantee is a property
+    /// of the scheduling discipline, not of one part's datasheet, so the
+    /// harness probes every generation.
+    pub device: DeviceGeneration,
+    pub plan: Option<FaultPlan>,
+    /// Instructions per profile bucket.
+    pub bucket_instrs: u64,
+    pub buckets: usize,
 }
 
-/// [`execution_profile`] on a specific device generation: the FS
-/// guarantee is a property of the scheduling discipline, not of one
-/// part's datasheet, so the harness must be able to probe every profile.
-pub fn execution_profile_on(
-    device: DeviceGeneration,
-    scheduler: SchedulerKind,
-    co: CoRunners,
-    bucket_instrs: u64,
-    buckets: usize,
-) -> ExecutionProfile {
-    let cfg = SystemConfig::for_device(device, scheduler, 8);
-    let mut traces: Vec<Box<dyn TraceSource>> = Vec::with_capacity(cfg.cores as usize);
-    // The attacker (the paper uses mcf) always uses the same seed, so its
-    // own instruction stream is identical across environments.
-    traces.push(Box::new(SyntheticTrace::new(BenchProfile::mcf(), 0xA77AC)));
-    for _ in 1..cfg.cores {
-        match co {
-            CoRunners::Idle => traces.push(Box::new(IdleTrace)),
-            CoRunners::MemoryIntensive => traces.push(Box::new(FloodTrace::new())),
+impl Scenario {
+    /// A DDR3-1600 scenario without a fault plan.
+    pub fn new(scheduler: SchedulerKind, bucket_instrs: u64, buckets: usize) -> Self {
+        Scenario {
+            scheduler,
+            device: DeviceGeneration::Ddr3_1600,
+            plan: None,
+            bucket_instrs,
+            buckets,
         }
     }
-    let mut sys = System::new(&cfg, traces);
-    ExecutionProfile::new(sys.run_profile(0, bucket_instrs, buckets), bucket_instrs)
-}
 
-/// [`execution_profile`] under an injected [`FaultPlan`], with the
-/// online invariant monitor armed: the attacker's profile is taken while
-/// the controller absorbs (or fails under) the plan's faults, and any
-/// stall, poisoning or invariant breach surfaces as a structured error
-/// carrying the plan's repro provenance.
-///
-/// Timing perturbations, command faults and device faults all apply;
-/// trace-corruption faults do not (the harness owns its traces — the
-/// attacker's instruction stream must stay identical across
-/// environments for profiles to be comparable at all).
-///
-/// # Errors
-///
-/// As for [`fsmc_sim::System::try_run_cycles`], plus construction
-/// failures for infeasible perturbed timing.
-pub fn execution_profile_faulted(
-    scheduler: SchedulerKind,
-    co: CoRunners,
-    bucket_instrs: u64,
-    buckets: usize,
-    plan: &FaultPlan,
-) -> Result<ExecutionProfile, FsmcError> {
-    let mut cfg = SystemConfig::paper_default(scheduler);
-    cfg.monitor = true;
-    plan.perturb_timing(&mut cfg.timing);
-    let mut traces: Vec<Box<dyn TraceSource>> = Vec::with_capacity(cfg.cores as usize);
-    traces.push(Box::new(SyntheticTrace::new(BenchProfile::mcf(), 0xA77AC)));
-    for _ in 1..cfg.cores {
-        match co {
-            CoRunners::Idle => traces.push(Box::new(IdleTrace)),
-            CoRunners::MemoryIntensive => traces.push(Box::new(FloodTrace::new())),
+    /// The same scenario on another device generation.
+    #[must_use]
+    pub fn on(mut self, device: DeviceGeneration) -> Self {
+        self.device = device;
+        self
+    }
+
+    /// The same scenario under `plan`, with the invariant monitor armed.
+    #[must_use]
+    pub fn with_plan(mut self, plan: FaultPlan) -> Self {
+        self.plan = Some(plan);
+        self
+    }
+
+    /// The observer's execution profile against seven `co` threads.
+    ///
+    /// # Errors
+    ///
+    /// Construction failures (e.g. infeasible perturbed timing); with a
+    /// plan, also whatever [`fsmc_sim::System::try_run_profile`] reports,
+    /// with the plan's provenance attached.
+    pub fn profile(&self, co: CoRunners) -> Result<ExecutionProfile, FsmcError> {
+        let mut cfg = SystemConfig::for_device(self.device, self.scheduler, 8);
+        if let Some(plan) = &self.plan {
+            cfg.monitor = true;
+            plan.arm_config(&mut cfg);
         }
+        let mut traces: Vec<Box<dyn TraceSource>> = Vec::with_capacity(cfg.cores as usize);
+        // The observer (the paper uses mcf) always uses the same seed, so
+        // its own instruction stream is identical across environments.
+        traces.push(Box::new(SyntheticTrace::new(BenchProfile::mcf(), 0xA77AC)));
+        for _ in 1..cfg.cores {
+            match co {
+                CoRunners::Idle => traces.push(Box::new(IdleTrace)),
+                CoRunners::MemoryIntensive => traces.push(Box::new(FloodTrace::new())),
+            }
+        }
+        let mut sys = System::try_new(&cfg, traces)?;
+        let (b, n) = (self.bucket_instrs, self.buckets);
+        let boundaries = match &self.plan {
+            None => sys.run_profile(0, b, n),
+            Some(plan) => {
+                plan.arm_system(&mut sys);
+                sys.try_run_profile(0, b, n).map_err(|e| e.with_provenance(plan))?
+            }
+        };
+        Ok(ExecutionProfile::new(boundaries, b))
     }
-    let mut sys = System::try_new(&cfg, traces)?;
-    if let Some(spec) = plan.cmd_fault_spec() {
-        sys.controller_mut().inject_command_faults(spec);
+
+    /// Runs the observer against idle and against flooding co-runners.
+    /// Under a plan this is security under fault: a fault that demotes
+    /// the controller to the conservative pipeline demotes it
+    /// *identically* regardless of co-runner behaviour, so even a
+    /// degraded FS system must leak nothing.
+    ///
+    /// # Errors
+    ///
+    /// Whichever environment's run fails first (see
+    /// [`Scenario::profile`]).
+    pub fn check(&self) -> Result<NonInterferenceReport, FsmcError> {
+        Ok(NonInterferenceReport {
+            scheduler: self.scheduler,
+            idle_profile: self.profile(CoRunners::Idle)?,
+            intensive_profile: self.profile(CoRunners::MemoryIntensive)?,
+        })
     }
-    if let Some(t) = plan.device_timing(&cfg.timing) {
-        sys.controller_mut().set_device_timing(t);
+
+    /// Runs the observer through every [`ChurnEnv`] churning at DRAM
+    /// cycle `at` (memory-intensive co-runners throughout, the monitor
+    /// armed across the epoch boundary) and reports whether its profile
+    /// is independent of domain churn and foreign persistent faults. The
+    /// scenario's own plan, if any, applies in every environment.
+    ///
+    /// # Errors
+    ///
+    /// Whichever environment's run fails first, with provenance
+    /// attached: a stall, timing poisoning, cadence breach on either
+    /// side of the transition, or a failed re-certification.
+    pub fn check_churn(&self, at: u64) -> Result<ChurnReport, FsmcError> {
+        let base = self.plan.clone().unwrap_or_default();
+        let mut profiles = Vec::with_capacity(ChurnEnv::ALL.len());
+        for env in ChurnEnv::ALL {
+            let mut plan = base.clone();
+            plan.faults.extend(env.plan(at).faults);
+            let churned = self.clone().with_plan(plan);
+            profiles.push((env, churned.profile(CoRunners::MemoryIntensive)?));
+        }
+        Ok(ChurnReport { scheduler: self.scheduler, profiles })
     }
-    let boundaries =
-        sys.try_run_profile(0, bucket_instrs, buckets).map_err(|e| e.with_provenance(plan))?;
-    Ok(ExecutionProfile::new(boundaries, bucket_instrs))
 }
 
 /// What churns around the observer mid-run (the reconfiguration probe).
@@ -151,7 +207,7 @@ impl ChurnEnv {
     }
 
     /// The fault plan realising this environment, churning at `at`.
-    fn plan(self, at: u64) -> FaultPlan {
+    pub fn plan(self, at: u64) -> FaultPlan {
         let plan = FaultPlan::new(0);
         match self {
             ChurnEnv::Static => plan,
@@ -160,67 +216,6 @@ impl ChurnEnv {
             ChurnEnv::ForeignBankFault => plan.with(FaultKind::StuckBank { rank: 7, bank: 0, at }),
         }
     }
-}
-
-/// [`execution_profile`] with a reconfiguration event scheduled at DRAM
-/// cycle `churn_at` and the invariant monitor armed across the epoch
-/// boundary. The observer on core 0 keeps its usual trace; `env` decides
-/// what churns around it.
-///
-/// # Errors
-///
-/// As for [`fsmc_sim::System::try_run_profile`]: a stall, timing
-/// poisoning, cadence breach on either side of the transition, or a
-/// failed re-certification all surface as structured errors with the
-/// plan's repro provenance attached.
-pub fn execution_profile_churned(
-    scheduler: SchedulerKind,
-    co: CoRunners,
-    env: ChurnEnv,
-    churn_at: u64,
-    bucket_instrs: u64,
-    buckets: usize,
-) -> Result<ExecutionProfile, FsmcError> {
-    execution_profile_churned_on(
-        DeviceGeneration::Ddr3_1600,
-        scheduler,
-        co,
-        env,
-        churn_at,
-        bucket_instrs,
-        buckets,
-    )
-}
-
-/// [`execution_profile_churned`] on a specific device generation.
-#[allow(clippy::too_many_arguments)]
-pub fn execution_profile_churned_on(
-    device: DeviceGeneration,
-    scheduler: SchedulerKind,
-    co: CoRunners,
-    env: ChurnEnv,
-    churn_at: u64,
-    bucket_instrs: u64,
-    buckets: usize,
-) -> Result<ExecutionProfile, FsmcError> {
-    let plan = env.plan(churn_at);
-    let mut cfg = SystemConfig::for_device(device, scheduler, 8);
-    cfg.monitor = true;
-    let mut traces: Vec<Box<dyn TraceSource>> = Vec::with_capacity(cfg.cores as usize);
-    traces.push(Box::new(SyntheticTrace::new(BenchProfile::mcf(), 0xA77AC)));
-    for _ in 1..cfg.cores {
-        match co {
-            CoRunners::Idle => traces.push(Box::new(IdleTrace)),
-            CoRunners::MemoryIntensive => traces.push(Box::new(FloodTrace::new())),
-        }
-    }
-    let mut sys = System::try_new(&cfg, traces)?;
-    for (at, ev) in plan.reconfig_events() {
-        sys.schedule_reconfig(at, ev);
-    }
-    let boundaries =
-        sys.try_run_profile(0, bucket_instrs, buckets).map_err(|e| e.with_provenance(&plan))?;
-    Ok(ExecutionProfile::new(boundaries, bucket_instrs))
 }
 
 /// Outcome of a churn non-interference check: the observer's profile in
@@ -256,147 +251,23 @@ impl ChurnReport {
     }
 }
 
-/// Runs the observer through every [`ChurnEnv`] (memory-intensive
-/// co-runners throughout) and reports whether its execution profile is
-/// independent of domain churn and foreign persistent faults.
-///
-/// # Errors
-///
-/// Whichever environment's run fails first, with provenance attached.
-pub fn check_churn_noninterference(
-    scheduler: SchedulerKind,
-    churn_at: u64,
-    bucket_instrs: u64,
-    buckets: usize,
-) -> Result<ChurnReport, FsmcError> {
-    check_churn_noninterference_on(
-        DeviceGeneration::Ddr3_1600,
-        scheduler,
-        churn_at,
-        bucket_instrs,
-        buckets,
-    )
-}
-
-/// [`check_churn_noninterference`] on a specific device generation.
-pub fn check_churn_noninterference_on(
-    device: DeviceGeneration,
-    scheduler: SchedulerKind,
-    churn_at: u64,
-    bucket_instrs: u64,
-    buckets: usize,
-) -> Result<ChurnReport, FsmcError> {
-    let mut profiles = Vec::with_capacity(ChurnEnv::ALL.len());
-    for env in ChurnEnv::ALL {
-        profiles.push((
-            env,
-            execution_profile_churned_on(
-                device,
-                scheduler,
-                CoRunners::MemoryIntensive,
-                env,
-                churn_at,
-                bucket_instrs,
-                buckets,
-            )?,
-        ));
-    }
-    Ok(ChurnReport { scheduler, profiles })
-}
-
-/// Runs the attacker under both environments and reports.
-///
-/// ```no_run
-/// use fsmc_core::sched::SchedulerKind;
-/// use fsmc_security::check_noninterference;
-///
-/// let report = check_noninterference(SchedulerKind::FsRankPartitioned, 10_000, 20);
-/// assert!(report.is_non_interfering()); // divergence is exactly zero
-/// ```
-pub fn check_noninterference(
-    scheduler: SchedulerKind,
-    bucket_instrs: u64,
-    buckets: usize,
-) -> NonInterferenceReport {
-    check_noninterference_on(DeviceGeneration::Ddr3_1600, scheduler, bucket_instrs, buckets)
-}
-
-/// [`check_noninterference`] on a specific device generation: the same
-/// idle-vs-flooding probe with the geometry and timing of `device`.
-pub fn check_noninterference_on(
-    device: DeviceGeneration,
-    scheduler: SchedulerKind,
-    bucket_instrs: u64,
-    buckets: usize,
-) -> NonInterferenceReport {
-    NonInterferenceReport {
-        scheduler,
-        idle_profile: execution_profile_on(
-            device,
-            scheduler,
-            CoRunners::Idle,
-            bucket_instrs,
-            buckets,
-        ),
-        intensive_profile: execution_profile_on(
-            device,
-            scheduler,
-            CoRunners::MemoryIntensive,
-            bucket_instrs,
-            buckets,
-        ),
-    }
-}
-
-/// Security under fault: runs the attacker under both environments with
-/// the same fault plan injected in each, and checks whether the profiles
-/// stay bit-identical. The FS guarantee must survive graceful
-/// degradation — a fault that demotes the controller to the conservative
-/// pipeline demotes it *identically* regardless of co-runner behaviour,
-/// so even a degraded FS system leaks nothing.
-///
-/// # Errors
-///
-/// Whichever environment's run fails first (stall, poisoning, invariant
-/// breach, infeasible perturbed timing), with provenance attached.
-pub fn check_noninterference_faulted(
-    scheduler: SchedulerKind,
-    bucket_instrs: u64,
-    buckets: usize,
-    plan: &FaultPlan,
-) -> Result<NonInterferenceReport, FsmcError> {
-    Ok(NonInterferenceReport {
-        scheduler,
-        idle_profile: execution_profile_faulted(
-            scheduler,
-            CoRunners::Idle,
-            bucket_instrs,
-            buckets,
-            plan,
-        )?,
-        intensive_profile: execution_profile_faulted(
-            scheduler,
-            CoRunners::MemoryIntensive,
-            bucket_instrs,
-            buckets,
-            plan,
-        )?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn check(scenario: Scenario) -> NonInterferenceReport {
+        scenario.check().expect("scenario runs to completion")
+    }
+
     #[test]
     fn fs_rank_partitioned_is_non_interfering() {
-        let r = check_noninterference(SchedulerKind::FsRankPartitioned, 2000, 10);
+        let r = check(Scenario::new(SchedulerKind::FsRankPartitioned, 2000, 10));
         assert!(r.is_non_interfering(), "FS leaked: divergence {} cycles", r.max_divergence());
     }
 
     #[test]
     fn fs_triple_alternation_is_non_interfering() {
-        let r = check_noninterference(SchedulerKind::FsTripleAlternation, 1000, 5);
+        let r = check(Scenario::new(SchedulerKind::FsTripleAlternation, 1000, 5));
         assert!(r.is_non_interfering(), "divergence {}", r.max_divergence());
     }
 
@@ -406,7 +277,7 @@ mod tests {
         // parameters: the bit-identity holds on grouped DDR4, slow-core
         // LPDDR4 and wide HBM2 alike.
         for device in DeviceGeneration::all() {
-            let r = check_noninterference_on(device, SchedulerKind::FsRankPartitioned, 1000, 5);
+            let r = check(Scenario::new(SchedulerKind::FsRankPartitioned, 1000, 5).on(device));
             assert!(
                 r.is_non_interfering(),
                 "FS leaked on {device}: divergence {} cycles",
@@ -420,28 +291,20 @@ mod tests {
         // Negative control off-DDR3: bank-grouped FR-FCFS still leaks
         // co-runner intensity, so the per-device FS assertion above is
         // not vacuous.
-        let r = check_noninterference_on(
-            DeviceGeneration::Ddr4_2400,
-            SchedulerKind::Baseline,
-            2000,
-            10,
-        );
+        let r =
+            check(Scenario::new(SchedulerKind::Baseline, 2000, 10).on(DeviceGeneration::Ddr4_2400));
         assert!(!r.is_non_interfering(), "ddr4 baseline unexpectedly non-interfering");
     }
 
     #[test]
     fn fs_survivor_profile_is_churn_independent_on_ddr4() {
-        // The PR-6 reconfiguration story must survive the device swap:
-        // joins, leaves and foreign persistent faults on a bank-grouped
-        // part reconfigure without perturbing the observer.
-        let r = check_churn_noninterference_on(
-            DeviceGeneration::Ddr4_2400,
-            SchedulerKind::FsRankPartitioned,
-            800,
-            1000,
-            5,
-        )
-        .expect("churn must reconfigure cleanly under FS on ddr4");
+        // The reconfiguration story must survive the device swap: joins,
+        // leaves and foreign persistent faults on a bank-grouped part
+        // reconfigure without perturbing the observer.
+        let r = Scenario::new(SchedulerKind::FsRankPartitioned, 1000, 5)
+            .on(DeviceGeneration::Ddr4_2400)
+            .check_churn(800)
+            .expect("churn must reconfigure cleanly under FS on ddr4");
         assert!(
             r.is_non_interfering(),
             "FS survivor diverged on ddr4 under {:?}: {} cycles",
@@ -453,30 +316,50 @@ mod tests {
     #[test]
     fn monitored_profile_matches_unmonitored_on_clean_runs() {
         // Arming the monitor (via an empty fault plan) observes without
-        // perturbing: the attacker's profile is unchanged and no breach
+        // perturbing: the observer's profile is unchanged and no breach
         // fires on a healthy FS run.
-        let plain = execution_profile(SchedulerKind::FsRankPartitioned, CoRunners::Idle, 1000, 5);
-        let armed = execution_profile_faulted(
-            SchedulerKind::FsRankPartitioned,
-            CoRunners::Idle,
-            1000,
-            5,
-            &FaultPlan::new(0),
-        )
-        .expect("clean run must not breach the monitor");
-        assert!(plain.identical(&armed), "monitoring changed the profile");
+        let plain = Scenario::new(SchedulerKind::FsRankPartitioned, 1000, 5);
+        let armed = plain.clone().with_plan(FaultPlan::new(0));
+        let co = CoRunners::Idle;
+        let armed = armed.profile(co).expect("clean run must not breach the monitor");
+        assert!(plain.profile(co).unwrap().identical(&armed), "monitoring changed the profile");
+    }
+
+    #[test]
+    fn planned_scenario_runs_on_its_own_device() {
+        // A plan must not pull the run back onto the paper's DDR3 part:
+        // the planned DDR4 profile is the unplanned DDR4 profile, and
+        // differs from DDR3's.
+        let ddr4 = Scenario::new(SchedulerKind::FsRankPartitioned, 1000, 5)
+            .on(DeviceGeneration::Ddr4_2400);
+        let co = CoRunners::Idle;
+        let planned = ddr4.clone().with_plan(FaultPlan::new(0)).profile(co).unwrap();
+        assert!(ddr4.profile(co).unwrap().identical(&planned), "plan changed the device");
+        let ddr3 = Scenario::new(SchedulerKind::FsRankPartitioned, 1000, 5).profile(co).unwrap();
+        assert!(!ddr3.identical(&planned), "DDR4 and DDR3 profiles coincide: the check is vacuous");
+    }
+
+    #[test]
+    fn shared_arbiter_plan_interferes_under_fs() {
+        // The misconfiguration fault wires FR-FCFS behind an FS request:
+        // the probe must see the leak, not the scheduler the config named.
+        let plan = FaultPlan::new(0).with(FaultKind::SharedArbiter);
+        let r = check(Scenario::new(SchedulerKind::FsRankPartitioned, 2000, 10).with_plan(plan));
+        assert!(!r.is_non_interfering(), "shared arbiter went unnoticed");
+        assert!(r.max_divergence() > 0);
     }
 
     #[test]
     fn fs_stays_bit_identical_under_graceful_degradation() {
-        use fsmc_sim::FaultKind;
         // A 3x-stretched refresh forces the controller onto the
         // conservative pipeline mid-run. Degradation is triggered by the
         // wall-clock refresh cadence, so it happens identically in both
         // environments — and the degraded pipeline is still FS: the
         // profiles must remain bit-identical even while degraded.
         let plan = FaultPlan::new(11).with(FaultKind::StretchRefresh { factor: 3 });
-        let r = check_noninterference_faulted(SchedulerKind::FsRankPartitioned, 1000, 5, &plan)
+        let r = Scenario::new(SchedulerKind::FsRankPartitioned, 1000, 5)
+            .with_plan(plan)
+            .check()
             .expect("stretch-refresh must degrade gracefully, not fail");
         assert!(
             r.is_non_interfering(),
@@ -487,7 +370,8 @@ mod tests {
 
     #[test]
     fn fs_survivor_profile_is_churn_independent() {
-        let r = check_churn_noninterference(SchedulerKind::FsRankPartitioned, 800, 1000, 5)
+        let r = Scenario::new(SchedulerKind::FsRankPartitioned, 1000, 5)
+            .check_churn(800)
             .expect("churn must reconfigure cleanly under FS");
         assert!(
             r.is_non_interfering(),
@@ -502,14 +386,15 @@ mod tests {
         // The negative control that keeps the FS test honest: under
         // FR-FCFS the same probe sees co-domain churn, because a flooder
         // leaving (or being absent until it joins) frees real bandwidth.
-        let r = check_churn_noninterference(SchedulerKind::Baseline, 800, 2000, 10)
+        let r = Scenario::new(SchedulerKind::Baseline, 2000, 10)
+            .check_churn(800)
             .expect("baseline churn runs must complete");
         assert!(!r.is_non_interfering(), "baseline unexpectedly churn-independent");
     }
 
     #[test]
     fn baseline_leaks_co_runner_intensity() {
-        let r = check_noninterference(SchedulerKind::Baseline, 2000, 10);
+        let r = check(Scenario::new(SchedulerKind::Baseline, 2000, 10));
         assert!(!r.is_non_interfering(), "baseline unexpectedly non-interfering");
         // The divergence is large: flooding co-runners slow the attacker
         // substantially (the visible gap of Figure 4).

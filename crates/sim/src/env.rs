@@ -9,10 +9,6 @@
 //! * [`seed`] — `FSMC_SEED`, workload seed for figure binaries.
 //! * [`threads`] — `FSMC_THREADS`, worker-pool width (results are
 //!   byte-identical at any value; only wall-clock time changes).
-//! * [`batch`] — `FSMC_BATCH`, engine batch width: jobs sharing a
-//!   `(mix, seed, cycles)` tuple replay one decoded tape through up to
-//!   K interleaved systems per work item (results are byte-identical
-//!   at any value; only wall-clock time changes).
 //! * [`no_fastpath`] — `FSMC_NO_FASTPATH`, force per-cycle stepping.
 //! * [`results_dir`] — `FSMC_RESULTS_DIR`, where experiment binaries
 //!   write their CSV/JSON outputs.
@@ -100,21 +96,6 @@ pub fn threads() -> usize {
 /// bit-identical either way; only wall-clock time changes).
 pub fn no_fastpath() -> bool {
     env_flag("FSMC_NO_FASTPATH", false)
-}
-
-/// `FSMC_BATCH`: engine batch width — the maximum number of jobs
-/// sharing a `(mix, seed, cycles)` tuple that one worker replays as a
-/// single interleaved pass over the shared trace tape. `1` (the
-/// default) runs every job independently; results are byte-identical
-/// at any width. Zero (like any malformed value) is reported and
-/// replaced by the default.
-pub fn batch() -> usize {
-    let width = env_u64("FSMC_BATCH", 1);
-    if width == 0 {
-        eprintln!("warning: FSMC_BATCH=0 is not a valid batch width; using 1");
-        return 1;
-    }
-    width as usize
 }
 
 /// `FSMC_DEVICE`: the device generation experiment binaries simulate.

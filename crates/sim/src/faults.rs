@@ -6,7 +6,8 @@
 //! data and fully deterministic (the `seed` picks corruption shapes, the
 //! periods count events), so a faulted run reproduces exactly.
 //!
-//! The runner applies each kind at the right layer:
+//! [`FaultPlan::arm_config`] and [`FaultPlan::arm_system`] are the one
+//! place a plan is applied to a run, each kind at the right layer:
 //!
 //! * [`FaultKind::PerturbTiming`] edits the *configured* timing before
 //!   construction (solver and device agree — exercises the construction
@@ -22,8 +23,12 @@
 //!   events ([`FaultKind::DomainLeave`], [`FaultKind::DomainJoin`]) fire
 //!   once at a scheduled cycle and trigger the epoch-based
 //!   reconfiguration protocol instead of the transient injectors.
+//! * [`FaultKind::SharedArbiter`] swaps the configured scheduler for
+//!   the shared FR-FCFS arbiter before construction.
 
-use fsmc_core::sched::{CmdFaultSpec, ReconfigEvent};
+use crate::config::SystemConfig;
+use crate::system::System;
+use fsmc_core::sched::{CmdFaultSpec, ReconfigEvent, SchedulerKind};
 use fsmc_dram::{Cycle, TimingParams};
 
 /// A DRAM timing parameter a fault can perturb.
@@ -161,9 +166,47 @@ impl FaultPlan {
         self
     }
 
+    /// The configuration half of arming a run, applied before the system
+    /// is built: the shared-arbiter misconfiguration swaps in FR-FCFS
+    /// (nothing else about the run changes — the leak is the only
+    /// symptom), and timing perturbations edit the timing both solver
+    /// and device will see.
+    pub fn arm_config(&self, cfg: &mut SystemConfig) {
+        if self.has_shared_arbiter() {
+            cfg.scheduler = SchedulerKind::Baseline;
+        }
+        self.perturb_timing(&mut cfg.timing);
+    }
+
+    /// The system half of arming a run, applied to the system built from
+    /// the [`FaultPlan::arm_config`]-ed configuration: schedules the
+    /// reconfiguration events, arms the command-fault injector and swaps
+    /// in slower device timing.
+    ///
+    /// Injected faults deliberately violate the controllers' `next_event`
+    /// contract (delayed commands, stretched refresh, perturbed timing),
+    /// so a faulted system runs per-cycle. Pure-reconfiguration plans
+    /// keep the fast path: the reconfiguration protocol runs inside
+    /// [`System::step`], and skips clamp at the next queued event or
+    /// adoption cycle.
+    pub fn arm_system(&self, sys: &mut System) {
+        if !self.faults.is_empty() && !self.is_pure_reconfig() {
+            sys.disable_fastpath();
+        }
+        for (at, ev) in self.reconfig_events() {
+            sys.schedule_reconfig(at, ev);
+        }
+        if let Some(spec) = self.cmd_fault_spec() {
+            sys.controller_mut().inject_command_faults(spec);
+        }
+        if let Some(t) = self.device_timing(&sys.config().timing) {
+            sys.controller_mut().set_device_timing(t);
+        }
+    }
+
     /// Applies every [`FaultKind::PerturbTiming`] to `t` (the configured
     /// timing both solver and device will see).
-    pub fn perturb_timing(&self, t: &mut TimingParams) {
+    fn perturb_timing(&self, t: &mut TimingParams) {
         for f in &self.faults {
             if let FaultKind::PerturbTiming { field, delta } = f {
                 field.apply(t, *delta);
@@ -172,7 +215,7 @@ impl FaultPlan {
     }
 
     /// The device-only timing (slower silicon), if any fault calls for it.
-    pub fn device_timing(&self, nominal: &TimingParams) -> Option<TimingParams> {
+    fn device_timing(&self, nominal: &TimingParams) -> Option<TimingParams> {
         let mut t = *nominal;
         let mut changed = false;
         for f in &self.faults {
@@ -185,7 +228,7 @@ impl FaultPlan {
     }
 
     /// The combined command-fault spec for the controller's injector.
-    pub fn cmd_fault_spec(&self) -> Option<CmdFaultSpec> {
+    fn cmd_fault_spec(&self) -> Option<CmdFaultSpec> {
         let mut spec = CmdFaultSpec::default();
         for f in &self.faults {
             match f {
@@ -214,7 +257,7 @@ impl FaultPlan {
 
     /// True if the plan swaps the configured scheduler for the shared
     /// FR-FCFS arbiter (the leaky-misconfiguration fault).
-    pub fn has_shared_arbiter(&self) -> bool {
+    fn has_shared_arbiter(&self) -> bool {
         self.faults.contains(&FaultKind::SharedArbiter)
     }
 

@@ -4,14 +4,14 @@
 //! Run with: `cargo run --release --example side_channel_attack`
 
 use fsmc::core::sched::SchedulerKind;
-use fsmc::security::noninterference::{check_noninterference, execution_profile, CoRunners};
+use fsmc::security::noninterference::{CoRunners, Scenario};
 
 fn main() {
     println!("An attacker measures the time to retire each 5k-instruction block.");
     println!("If the timing depends on co-runners, the memory controller leaks.\n");
 
     for kind in [SchedulerKind::Baseline, SchedulerKind::FsRankPartitioned] {
-        let report = check_noninterference(kind, 5_000, 12);
+        let report = Scenario::new(kind, 5_000, 12).check().expect("paper configuration runs");
         println!("--- {kind} ---");
         println!(
             "attacker finish with idle co-runners:       {:>10} CPU cycles",
@@ -33,8 +33,9 @@ fn main() {
     }
 
     // The attack as a one-bit decision: is my neighbour using memory?
-    let probe = execution_profile(SchedulerKind::Baseline, CoRunners::MemoryIntensive, 5_000, 4);
-    let quiet = execution_profile(SchedulerKind::Baseline, CoRunners::Idle, 5_000, 4);
+    let baseline = Scenario::new(SchedulerKind::Baseline, 5_000, 4);
+    let probe = baseline.profile(CoRunners::MemoryIntensive).expect("baseline runs");
+    let quiet = baseline.profile(CoRunners::Idle).expect("baseline runs");
     let slowdown = quiet.final_slowdown(&probe);
     println!("On the baseline the attacker runs {slowdown:.1}x slower next to a flooder —");
     println!("a trivially decodable signal. Under FS the ratio is exactly 1.0.");

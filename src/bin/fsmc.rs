@@ -26,13 +26,12 @@ use fsmc::leak::{
     measure_cell, run_leak_campaign, run_leak_case, shrink_leak, LeakCampaignConfig, Protocol,
 };
 use fsmc::obs::ChromeTraceBuilder;
-use fsmc::security::noninterference::check_noninterference_on;
-use fsmc::security::run_covert_channel_on;
+use fsmc::security::{run_covert_channel_on, Scenario};
 use fsmc::serve::pool::HANG_ENV;
 use fsmc::serve::{serve, ChaosSpec, Client, ServeOptions};
 use fsmc::sim::{
-    run_campaign, run_single, CampaignConfig, Engine, ExperimentJob, ExperimentPlan, FaultPlan,
-    JobSpec, System, SystemConfig,
+    run_campaign, run_single, CampaignConfig, Engine, ExperimentJob, FaultPlan, JobSpec, System,
+    SystemConfig,
 };
 use fsmc::workload::{BenchProfile, SyntheticTrace, WorkloadMix};
 use std::collections::HashMap;
@@ -165,10 +164,6 @@ ENV:        FSMC_DEVICE    default device generation for fsmc and the
                            figure binaries (--device overrides it)
             FSMC_THREADS   worker threads for suite runs (default: all cores;
                            results are identical at any thread count)
-            FSMC_BATCH     engine batch width: up to K jobs sharing a
-                           (workload, seed, cycles) tuple replay
-                           interleaved on one worker (default 1;
-                           results are identical at any width)
             FSMC_CYCLES / FSMC_SEED   defaults for the figure binaries
             FSMC_RESULTS_DIR          where figure binaries write CSVs
             FSMC_NO_FASTPATH=1        force per-cycle stepping (debugging;
@@ -398,7 +393,7 @@ fn cmd_suite(opts: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_attack(opts: &HashMap<String, String>) -> Result<(), String> {
     let kind = scheduler_kind(opts.get("scheduler").map(String::as_str).unwrap_or("fs-rp"))?;
     let device = device_gen(opts)?;
-    let report = check_noninterference_on(device, kind, 2_000, 10);
+    let report = Scenario::new(kind, 2_000, 10).on(device).check().map_err(|e| e.to_string())?;
     println!("scheduler                   {kind}");
     println!("device                      {device}");
     println!(
@@ -574,9 +569,7 @@ fn cmd_trace(opts: &HashMap<String, String>) -> Result<(), String> {
                  (stuck-bank/dead-rank/thermal-refresh/leave/join)"
                 .into());
         }
-        for (at, ev) in plan.reconfig_events() {
-            sys.schedule_reconfig(at, ev);
-        }
+        plan.arm_system(&mut sys);
     }
     sys.enable_tracing();
     sys.enable_metrics();
@@ -664,55 +657,6 @@ fn time_pair(
     Ok((cycles as f64 / best[0], cycles as f64 / best[1]))
 }
 
-/// Times `width` copies of one job run back to back against the same
-/// jobs interleaved as a single K-wide batch, both on one worker
-/// thread and with the fast path on, so the figure isolates the
-/// batching win (one decoded tape, warm timing tables) from
-/// parallelism. Repeats interleave like [`time_pair`], and every
-/// repeat of either mode must produce byte-identical slot results — a
-/// free end-to-end check of the batching contract. Returns
-/// (unbatched, batched) aggregate simulated cycles per second.
-fn time_batch(
-    device: DeviceGeneration,
-    kind: SchedulerKind,
-    mix: &WorkloadMix,
-    cycles: u64,
-    seed: u64,
-    width: usize,
-) -> Result<(f64, f64), String> {
-    let cfg = SystemConfig::for_device(device, kind, mix.cores() as u8);
-    let mut plan = ExperimentPlan::new();
-    for _ in 0..width {
-        plan.push(ExperimentJob::new(mix.clone(), kind, cycles, seed).with_config(cfg));
-    }
-    let engines = [Engine::with_threads(1), Engine::with_threads(1).with_batch(width)];
-    let mut best = [f64::MAX; 2];
-    let mut fingerprint: Option<String> = None;
-    for _rep in 0..3 {
-        for (slot, engine) in engines.iter().enumerate() {
-            let t0 = std::time::Instant::now();
-            let out = engine.run(&plan);
-            let secs = t0.elapsed().as_secs_f64().max(1e-9);
-            for r in &out {
-                if let Err(e) = r {
-                    return Err(e.to_string());
-                }
-            }
-            best[slot] = best[slot].min(secs);
-            let fp = format!("{out:?}");
-            match &fingerprint {
-                None => fingerprint = Some(fp),
-                Some(first) if *first != fp => {
-                    return Err("batched replay diverged from unbatched runs".into());
-                }
-                _ => {}
-            }
-        }
-    }
-    let total = (width as u64 * cycles) as f64;
-    Ok((total / best[0], total / best[1]))
-}
-
 fn cmd_bench_throughput(opts: &HashMap<String, String>) -> Result<(), String> {
     let cycles = get_u64(opts, "cycles", 500_000)?;
     let seed = get_u64(opts, "seed", 42)?;
@@ -780,40 +724,6 @@ fn cmd_bench_throughput(opts: &HashMap<String, String>) -> Result<(), String> {
             workload: "mcf",
             per_cycle_cps: slow_cps,
             fastpath_cps: fast_cps,
-        };
-        println!(
-            "{:<33} {:>14.0} {:>14.0} {:>7.2}x",
-            row.name,
-            row.per_cycle_cps,
-            row.fastpath_cps,
-            row.speedup()
-        );
-        rows.push(row);
-    }
-    // Batched-replay rows for the two saturated scenarios. The columns
-    // are reinterpreted: "per-cycle" records K=1 (eight jobs run back
-    // to back, fast path on) and "fast-path" records K=8 (the same
-    // eight jobs interleaved as one batch), so the gate below guards
-    // batched throughput and the speedup column reads as the batching
-    // gain.
-    let batch_scenarios: [(&str, SchedulerKind, &str, WorkloadMix); 2] = [
-        ("fs-rp-mix1-batch8", SchedulerKind::FsRankPartitioned, "mix1", WorkloadMix::mix1_for(8)),
-        (
-            "baseline-memory-intensive-batch8",
-            SchedulerKind::Baseline,
-            "mcf",
-            WorkloadMix::rate(BenchProfile::mcf(), 8),
-        ),
-    ];
-    for (name, kind, workload, mix) in batch_scenarios {
-        let (k1_cps, k8_cps) =
-            time_batch(device, kind, &mix, cycles, seed, 8).map_err(|e| format!("{name}: {e}"))?;
-        let row = ThroughputRow {
-            name,
-            scheduler: kind,
-            workload,
-            per_cycle_cps: k1_cps,
-            fastpath_cps: k8_cps,
         };
         println!(
             "{:<33} {:>14.0} {:>14.0} {:>7.2}x",

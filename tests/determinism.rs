@@ -7,7 +7,7 @@
 //! but a different simulator.
 
 use fsmc::bench::weighted_ipc_suite_with;
-use fsmc::core::sched::SchedulerKind as K;
+use fsmc::core::sched::{ReconfigEvent, SchedulerKind as K};
 use fsmc::dram::command::TimedCommand;
 use fsmc::dram::DeviceGeneration;
 use fsmc::sim::{Engine, ExperimentJob, FaultPlan, System, SystemConfig};
@@ -155,17 +155,13 @@ fn fast_path_preserves_execution_profiles_and_read_runs() {
     }
 }
 
-/// `FSMC_NO_FASTPATH=1` is the escape hatch; mutable controller access
-/// and armed fault plans drop to per-cycle stepping automatically.
+/// Mutable controller access and armed fault plans drop to per-cycle
+/// stepping automatically (the `FSMC_NO_FASTPATH=1` escape hatch is
+/// pinned in `tests/no_fastpath_env.rs`, its own process).
 #[test]
 fn fast_path_disarms_on_env_mutation_and_faults() {
     let cfg = SystemConfig::paper_default(K::FsRankPartitioned);
     let mix = WorkloadMix::mix1();
-    std::env::set_var("FSMC_NO_FASTPATH", "1");
-    let sys = System::from_mix(&cfg, &mix, 1);
-    std::env::remove_var("FSMC_NO_FASTPATH");
-    assert!(!sys.fastpath_enabled(), "FSMC_NO_FASTPATH=1 must force per-cycle stepping");
-
     let mut sys = System::from_mix(&cfg, &mix, 1);
     assert!(sys.fastpath_enabled(), "fast path is the default");
     let _ = sys.controller_mut();
@@ -177,6 +173,56 @@ fn fast_path_disarms_on_env_mutation_and_faults() {
     let a = job.run();
     let b = job.run();
     assert_eq!(format!("{a:?}"), format!("{b:?}"), "faulted runs must be reproducible");
+}
+
+/// FS fast-forward straddles wall-clock refresh windows bit-identically:
+/// with no monitor armed the span is replayed inside the controller,
+/// and 30k cycles cross many tREFI boundaries (quiesce, refresh
+/// commands, recovery) for every FS variant.
+#[test]
+fn fs_fast_forward_is_bit_identical_across_refresh_windows() {
+    for kind in [
+        K::FsRankPartitioned,
+        K::FsRankPartitionedPrefetch,
+        K::FsBankPartitioned,
+        K::FsReorderedBankPartitioned,
+        K::FsNoPartitionNaive,
+        K::FsTripleAlternation,
+    ] {
+        let cfg = SystemConfig::paper_default(kind);
+        let mix = WorkloadMix::mix1();
+        let mut fast = System::from_mix(&cfg, &mix, 7);
+        let mut slow = System::from_mix(&cfg, &mix, 7);
+        slow.disable_fastpath();
+        let sf = fast.run_cycles(30_000);
+        let ss = slow.run_cycles(30_000);
+        assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "{kind}: stats diverge");
+        assert_eq!(fast.dram_cycle(), slow.dram_cycle(), "{kind}: end cycles diverge");
+    }
+}
+
+/// FS fast-forward around a reconfiguration epoch boundary: the skip
+/// clamps at the event promotion and adoption cycles, so a domain
+/// leaving and a bank dying mid-run reproduce per-cycle stepping
+/// exactly.
+#[test]
+fn fs_fast_forward_is_bit_identical_across_reconfig_epochs() {
+    for kind in [K::FsRankPartitioned, K::FsBankPartitioned] {
+        let cfg = SystemConfig::paper_default(kind);
+        let mix = WorkloadMix::mix1();
+        let mut fast = System::from_mix(&cfg, &mix, 9);
+        let mut slow = System::from_mix(&cfg, &mix, 9);
+        slow.disable_fastpath();
+        for sys in [&mut fast, &mut slow] {
+            sys.schedule_reconfig(4_000, ReconfigEvent::DomainLeave { domain: 2 });
+            sys.schedule_reconfig(9_000, ReconfigEvent::StuckBank { rank: 1, bank: 3 });
+            sys.schedule_reconfig(14_000, ReconfigEvent::DomainJoin { domain: 2 });
+        }
+        let sf = fast.try_run_cycles(20_000).expect("clean fast run");
+        let ss = slow.try_run_cycles(20_000).expect("clean slow run");
+        assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "{kind}: stats diverge");
+        assert_eq!(fast.dram_cycle(), slow.dram_cycle(), "{kind}: end cycles diverge");
+    }
 }
 
 /// The tentpole guarantee: the parallel experiment engine produces

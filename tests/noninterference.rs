@@ -2,10 +2,14 @@
 //! zero-leakage theorem, for every FS variant.
 
 use fsmc::core::sched::SchedulerKind as K;
-use fsmc::security::noninterference::check_noninterference;
+use fsmc::security::Scenario;
+
+fn check(kind: K) -> fsmc::security::NonInterferenceReport {
+    Scenario::new(kind, 2_000, 8).check().expect("scenario runs to completion")
+}
 
 fn assert_non_interfering(kind: K) {
-    let report = check_noninterference(kind, 2_000, 8);
+    let report = check(kind);
     assert!(
         report.is_non_interfering(),
         "{kind} leaked: {} CPU cycles of divergence",
@@ -72,7 +76,7 @@ fn fs_with_energy_optimisations_is_non_interfering() {
 
 #[test]
 fn baseline_interferes() {
-    let report = check_noninterference(K::Baseline, 2_000, 8);
+    let report = check(K::Baseline);
     assert!(!report.is_non_interfering());
 }
 
@@ -98,7 +102,7 @@ fn tp_bank_partitioned_leak_is_bounded_while_fs_is_exact() {
     // turn boundary; closing them would need a 24-cycle dead time). Our
     // port bounds it to ~1% of execution time — in stark contrast to the
     // baseline's ~10x divergence and FS's *exact* zero.
-    let report = check_noninterference(K::TpBankPartitioned { turn: 60 }, 2_000, 8);
+    let report = check(K::TpBankPartitioned { turn: 60 });
     let total = *report.idle_profile.boundaries.last().expect("profile") as f64;
     let leak = report.max_divergence() as f64 / total;
     assert!(leak < 0.02, "TP-BP leak {:.3}% exceeds the expected bound", 100.0 * leak);

@@ -4,7 +4,7 @@
 //! fast-path vs per-cycle bit-identity for pure-reconfiguration runs.
 
 use fsmc::core::sched::SchedulerKind as K;
-use fsmc::security::check_churn_noninterference;
+use fsmc::security::Scenario;
 use fsmc::sim::{ExperimentJob, FaultKind, FaultPlan, System, SystemConfig};
 use fsmc::workload::{BenchProfile, WorkloadMix};
 
@@ -22,7 +22,8 @@ fn fs_survivor_profile_is_bit_identical_across_churn_environments() {
     // byte-identical whether nothing happened, a co-domain left, a
     // co-domain joined mid-run, or a persistent bank fault in another
     // domain's rank forced a re-solved schedule adoption.
-    let r = check_churn_noninterference(K::FsRankPartitioned, 800, 1_500, 6)
+    let r = Scenario::new(K::FsRankPartitioned, 1_500, 6)
+        .check_churn(800)
         .expect("churn must reconfigure cleanly under FS");
     assert!(
         r.is_non_interfering(),
@@ -41,7 +42,8 @@ fn frfcfs_survivor_profile_diverges_under_the_same_probe() {
     // The negative control that keeps the FS test honest: FR-FCFS has
     // no fixed service schedule, so a flooding co-runner leaving (or
     // joining late) visibly changes the observer's timing.
-    let r = check_churn_noninterference(K::Baseline, 800, 2_000, 10)
+    let r = Scenario::new(K::Baseline, 2_000, 10)
+        .check_churn(800)
         .expect("baseline churn runs must complete");
     assert!(!r.is_non_interfering(), "baseline unexpectedly churn-independent");
     assert!(r.max_divergence() > 0);
