@@ -6,6 +6,11 @@
 //! Memory reads occupy a ROB slot until their data returns from the
 //! memory controller; writes retire through a posted write path and only
 //! stall the core via controller back-pressure.
+//!
+//! The ROB is stored run-length encoded, so a compute-bound core costs
+//! one group per fetch cycle rather than one entry per instruction, and
+//! [`OooCore::advance_compute`] moves a core in its steady full-width
+//! compute state forward many cycles at once.
 
 use crate::trace::{MemOp, TraceOp, TraceSource};
 use std::collections::VecDeque;
@@ -83,22 +88,38 @@ impl CoreStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct RobEntry {
-    /// CPU cycle at which a non-memory instruction may retire.
+/// A run of `count` consecutive ROB entries that retire together: the
+/// same `retire_at` and no outstanding read. A read stays a singleton
+/// group carrying its tag in `waiting_on` until its data returns; no
+/// later fetch ever merges into it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RobGroup {
+    /// CPU cycle at which the group's instructions may retire.
     retire_at: u64,
-    /// For reads: the tag we are waiting on (`None` once data returned).
+    count: u32,
+    /// For a read: the tag we are waiting on (`None` once data returned).
     waiting_on: Option<u64>,
 }
 
 /// A single out-of-order core consuming a trace.
+///
+/// The ROB is run-length encoded: fetching a cycle's worth of
+/// non-memory instructions pushes one [`RobGroup`], and retiring takes
+/// `min(count, width - retired)` off the front one. Per-instruction
+/// semantics are exact; `rob_len` counts instructions, not groups.
 pub struct OooCore {
     cfg: CoreConfig,
     trace: Box<dyn TraceSource>,
-    rob: VecDeque<RobEntry>,
+    rob: VecDeque<RobGroup>,
+    /// Instructions in the ROB (the sum of the groups' counts).
+    rob_len: usize,
     /// Non-memory instructions still to fetch before the pending mem op.
-    nonmem_left: u32,
+    nonmem_left: u64,
     pending_mem: Option<MemOp>,
+    /// An op read from the trace by [`OooCore::advance_compute`] that it
+    /// could not fold into `nonmem_left`; fetch consumes it before
+    /// asking the trace again.
+    lookahead: Option<TraceOp>,
     completed_tags: Vec<u64>,
     next_tag: u64,
     stats: CoreStats,
@@ -108,7 +129,7 @@ impl std::fmt::Debug for OooCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OooCore")
             .field("cfg", &self.cfg)
-            .field("rob_occupancy", &self.rob.len())
+            .field("rob_occupancy", &self.rob_len)
             .field("stats", &self.stats)
             .finish()
     }
@@ -120,8 +141,10 @@ impl OooCore {
             cfg,
             trace,
             rob: VecDeque::with_capacity(cfg.rob_size),
+            rob_len: 0,
             nonmem_left: 0,
             pending_mem: None,
+            lookahead: None,
             completed_tags: Vec::new(),
             next_tag: 0,
             stats: CoreStats::default(),
@@ -148,13 +171,13 @@ impl OooCore {
     /// fetch, so the trace is never consulted), no pending completions,
     /// and a head entry that cannot retire.
     pub fn idle_until(&self) -> CoreIdle {
-        if !self.completed_tags.is_empty() || self.rob.len() < self.cfg.rob_size {
+        if !self.completed_tags.is_empty() || self.rob_len < self.cfg.rob_size {
             return CoreIdle::Active;
         }
         match self.rob.front() {
-            Some(e) => match e.waiting_on {
+            Some(g) => match g.waiting_on {
                 Some(_) => CoreIdle::BlockedOnMemory,
-                None => CoreIdle::WakeAt(e.retire_at),
+                None => CoreIdle::WakeAt(g.retire_at),
             },
             // Unreachable for rob_size > 0, but an empty ROB fetches.
             None => CoreIdle::Active,
@@ -170,6 +193,70 @@ impl OooCore {
         self.stats.cpu_cycles = self.stats.cpu_cycles.max(next_cpu_cycle);
     }
 
+    /// Runs CPU cycles `now_cpu..now_cpu + n` in one step if the core is
+    /// in the steady full-width compute state throughout, and reports
+    /// whether it did. Bit-identical to `n` calls of [`OooCore::cycle`],
+    /// none of which would have offered a memory operation.
+    ///
+    /// The steady state: no completions pending and exactly
+    /// `pipeline_depth` groups of `width` instructions, none a read, with
+    /// `retire_at` running `now_cpu, now_cpu + 1, ...`. Each cycle then
+    /// retires the front group and fetches an identical one at the back,
+    /// so `n` cycles shift every `retire_at` by `n` — provided fetch has
+    /// `n·width` non-memory instructions to take. Compute-only ops are
+    /// pulled from the trace and folded into that budget (per-cycle
+    /// fetch would read them in the same order); a memory or empty op
+    /// ends the state and is kept for fetch.
+    ///
+    /// On `false` nothing a later cycle observes has changed: only ops
+    /// fetch would have read next may have moved into the core.
+    pub fn advance_compute(&mut self, now_cpu: u64, n: u64) -> bool {
+        let (width, depth) = (self.cfg.width, self.cfg.pipeline_depth as u64);
+        let steady = depth > 0
+            && self.completed_tags.is_empty()
+            && self.rob.len() as u64 == depth
+            && self
+                .rob
+                .iter()
+                .zip(now_cpu..)
+                .all(|(g, at)| g.count == width && g.waiting_on.is_none() && g.retire_at == at);
+        if n == 0 || !steady {
+            return false;
+        }
+        let need = n * width as u64;
+        while self.nonmem_left < need {
+            if self.pending_mem.is_some() {
+                return false;
+            }
+            let op = self.lookahead.take().unwrap_or_else(|| self.trace.next_op());
+            if op.mem.is_some() || op.nonmem == 0 {
+                self.lookahead = Some(op);
+                return false;
+            }
+            self.nonmem_left += op.nonmem as u64;
+        }
+        for g in &mut self.rob {
+            g.retire_at += n;
+        }
+        self.nonmem_left -= need;
+        self.stats.instructions_retired += need;
+        self.stats.cpu_cycles = self.stats.cpu_cycles.max(now_cpu + n);
+        true
+    }
+
+    /// Appends `count` instructions that retire at `retire_at` without
+    /// waiting on memory, extending the back group when it matches.
+    fn push_ready(&mut self, retire_at: u64, count: u32) {
+        self.rob_len += count as usize;
+        if let Some(back) = self.rob.back_mut() {
+            if back.waiting_on.is_none() && back.retire_at == retire_at {
+                back.count += count;
+                return;
+            }
+        }
+        self.rob.push_back(RobGroup { retire_at, count, waiting_on: None });
+    }
+
     /// Advances one CPU cycle. `submit` offers memory operations to the
     /// memory system (the system simulator routes them to the controller)
     /// and reports acceptance; tags are assigned by the core and echoed
@@ -179,14 +266,15 @@ impl OooCore {
         F: FnMut(MemOp, u64) -> SubmitResult,
     {
         self.stats.cpu_cycles = self.stats.cpu_cycles.max(now_cpu + 1);
+        let (width, ready_at) = (self.cfg.width, now_cpu + self.cfg.pipeline_depth as u64);
 
         // Drain completions into the ROB.
         if !self.completed_tags.is_empty() {
-            for e in self.rob.iter_mut() {
-                if let Some(t) = e.waiting_on {
+            for g in self.rob.iter_mut() {
+                if let Some(t) = g.waiting_on {
                     if self.completed_tags.contains(&t) {
-                        e.waiting_on = None;
-                        e.retire_at = e.retire_at.max(now_cpu);
+                        g.waiting_on = None;
+                        g.retire_at = g.retire_at.max(now_cpu);
                     }
                 }
             }
@@ -195,12 +283,17 @@ impl OooCore {
 
         // Retire in order, up to `width` per cycle.
         let mut retired = 0;
-        while retired < self.cfg.width {
-            match self.rob.front() {
-                Some(e) if e.waiting_on.is_none() && e.retire_at <= now_cpu => {
-                    self.rob.pop_front();
-                    self.stats.instructions_retired += 1;
-                    retired += 1;
+        while retired < width {
+            match self.rob.front_mut() {
+                Some(g) if g.waiting_on.is_none() && g.retire_at <= now_cpu => {
+                    let k = g.count.min(width - retired);
+                    g.count -= k;
+                    if g.count == 0 {
+                        self.rob.pop_front();
+                    }
+                    self.rob_len -= k as usize;
+                    self.stats.instructions_retired += k as u64;
+                    retired += k;
                 }
                 _ => break,
             }
@@ -209,10 +302,10 @@ impl OooCore {
         // Fetch, up to `width` per cycle, while ROB space remains.
         let mut fetched = 0;
         let mut stalled = false;
-        while fetched < self.cfg.width && self.rob.len() < self.cfg.rob_size && !stalled {
+        while fetched < width && self.rob_len < self.cfg.rob_size && !stalled {
             if self.nonmem_left == 0 && self.pending_mem.is_none() {
-                let op: TraceOp = self.trace.next_op();
-                self.nonmem_left = op.nonmem;
+                let op = self.lookahead.take().unwrap_or_else(|| self.trace.next_op());
+                self.nonmem_left = op.nonmem as u64;
                 self.pending_mem = op.mem;
                 if op.nonmem == 0 && op.mem.is_none() {
                     // Degenerate empty op; avoid an infinite loop.
@@ -220,12 +313,11 @@ impl OooCore {
                 }
             }
             if self.nonmem_left > 0 {
-                self.nonmem_left -= 1;
-                self.rob.push_back(RobEntry {
-                    retire_at: now_cpu + self.cfg.pipeline_depth as u64,
-                    waiting_on: None,
-                });
-                fetched += 1;
+                let room = ((width - fetched) as usize).min(self.cfg.rob_size - self.rob_len);
+                let k = self.nonmem_left.min(room as u64) as u32;
+                self.nonmem_left -= k as u64;
+                self.push_ready(ready_at, k);
+                fetched += k;
                 continue;
             }
             if let Some(mem) = self.pending_mem {
@@ -236,24 +328,22 @@ impl OooCore {
                         self.next_tag += 1;
                         if mem.is_write {
                             self.stats.writes_issued += 1;
-                            self.rob.push_back(RobEntry {
-                                retire_at: now_cpu + self.cfg.pipeline_depth as u64,
-                                waiting_on: None,
-                            });
+                            self.push_ready(ready_at, 1);
                         } else {
                             self.stats.reads_issued += 1;
-                            self.rob
-                                .push_back(RobEntry { retire_at: now_cpu, waiting_on: Some(tag) });
+                            self.rob_len += 1;
+                            self.rob.push_back(RobGroup {
+                                retire_at: now_cpu,
+                                count: 1,
+                                waiting_on: Some(tag),
+                            });
                         }
                         self.pending_mem = None;
                         fetched += 1;
                     }
                     SubmitResult::Hit => {
                         self.next_tag += 1;
-                        self.rob.push_back(RobEntry {
-                            retire_at: now_cpu + self.cfg.pipeline_depth as u64,
-                            waiting_on: None,
-                        });
+                        self.push_ready(ready_at, 1);
                         self.pending_mem = None;
                         fetched += 1;
                     }
@@ -263,7 +353,7 @@ impl OooCore {
                 }
             }
         }
-        if stalled || (self.rob.len() >= self.cfg.rob_size && fetched == 0) {
+        if stalled || (self.rob_len >= self.cfg.rob_size && fetched == 0) {
             self.stats.stall_cycles += 1;
         }
     }
@@ -411,5 +501,289 @@ mod tests {
             });
         }
         assert_eq!(issued, 64);
+    }
+
+    #[test]
+    fn advance_compute_matches_stepping_a_compute_bound_core() {
+        let mk = || {
+            let trace = VecTrace::new(vec![TraceOp::compute(64), TraceOp::compute(7)]);
+            OooCore::new(CoreConfig::paper_default(), Box::new(trace))
+        };
+        let (mut stepped, mut advanced) = (mk(), mk());
+        // The steady state needs `pipeline_depth` cycles of fetch first.
+        let mut now = 0;
+        while now < 10 {
+            assert!(!advanced.advance_compute(now, 4));
+            stepped.cycle(now, |_, _| unreachable!("no memory ops in this trace"));
+            advanced.cycle(now, |_, _| unreachable!("no memory ops in this trace"));
+            now += 1;
+        }
+        // Spans cross op boundaries (64 + 7 instructions per loop).
+        for _ in 0..1000 {
+            assert!(advanced.advance_compute(now, 3));
+            for c in now..now + 3 {
+                stepped.cycle(c, |_, _| unreachable!());
+            }
+            now += 3;
+        }
+        assert_eq!(stepped.stats(), advanced.stats());
+        assert_eq!(stepped.stats().stall_cycles, 0);
+        assert_eq!(stepped.idle_until(), advanced.idle_until());
+        assert_eq!(stepped.rob, advanced.rob);
+    }
+
+    #[test]
+    fn advance_compute_declines_outside_the_steady_state() {
+        // A memory op next in the trace ends the state: it stays queued
+        // for fetch and the core is left as it was.
+        let trace = VecTrace::new(vec![TraceOp::compute(48), TraceOp::with_mem(0, MemOp::read(1))]);
+        let mut core = OooCore::new(CoreConfig::paper_default(), Box::new(trace));
+        for c in 0..10 {
+            core.cycle(c, |_, _| unreachable!("the read is not fetched yet"));
+        }
+        let (stats, rob) = (*core.stats(), core.rob.clone());
+        assert!(!core.advance_compute(10, 3));
+        assert_eq!((*core.stats(), &core.rob), (stats, &rob));
+        assert!(core.lookahead.is_some());
+        // A zero-depth pipeline never reaches the shape the advance needs.
+        let cfg = CoreConfig { pipeline_depth: 0, ..CoreConfig::paper_default() };
+        let mut core = OooCore::new(cfg, Box::new(VecTrace::new(vec![TraceOp::compute(64)])));
+        for c in 0..20 {
+            assert!(!core.advance_compute(c, 1));
+            core.cycle(c, |_, _| unreachable!());
+        }
+    }
+
+    /// The per-instruction ROB the run-length one replaced, kept as the
+    /// differential oracle for [`rle_core_matches_per_instruction_reference`].
+    struct RefCore {
+        cfg: CoreConfig,
+        trace: Box<dyn TraceSource>,
+        rob: VecDeque<(u64, Option<u64>)>,
+        nonmem_left: u32,
+        pending_mem: Option<MemOp>,
+        completed_tags: Vec<u64>,
+        next_tag: u64,
+        stats: CoreStats,
+    }
+
+    impl RefCore {
+        fn new(cfg: CoreConfig, trace: Box<dyn TraceSource>) -> Self {
+            RefCore {
+                cfg,
+                trace,
+                rob: VecDeque::new(),
+                nonmem_left: 0,
+                pending_mem: None,
+                completed_tags: Vec::new(),
+                next_tag: 0,
+                stats: CoreStats::default(),
+            }
+        }
+
+        fn idle_until(&self) -> CoreIdle {
+            if !self.completed_tags.is_empty() || self.rob.len() < self.cfg.rob_size {
+                return CoreIdle::Active;
+            }
+            match self.rob.front() {
+                Some((_, Some(_))) => CoreIdle::BlockedOnMemory,
+                Some(&(retire_at, None)) => CoreIdle::WakeAt(retire_at),
+                None => CoreIdle::Active,
+            }
+        }
+
+        fn cycle(&mut self, now_cpu: u64, mut submit: impl FnMut(MemOp, u64) -> SubmitResult) {
+            self.stats.cpu_cycles = self.stats.cpu_cycles.max(now_cpu + 1);
+            let ready_at = now_cpu + self.cfg.pipeline_depth as u64;
+            if !self.completed_tags.is_empty() {
+                for (retire_at, waiting_on) in self.rob.iter_mut() {
+                    if waiting_on.is_some_and(|t| self.completed_tags.contains(&t)) {
+                        *waiting_on = None;
+                        *retire_at = (*retire_at).max(now_cpu);
+                    }
+                }
+                self.completed_tags.clear();
+            }
+            let mut retired = 0;
+            while retired < self.cfg.width {
+                match self.rob.front() {
+                    Some(&(retire_at, None)) if retire_at <= now_cpu => {
+                        self.rob.pop_front();
+                        self.stats.instructions_retired += 1;
+                        retired += 1;
+                    }
+                    _ => break,
+                }
+            }
+            let mut fetched = 0;
+            let mut stalled = false;
+            while fetched < self.cfg.width && self.rob.len() < self.cfg.rob_size && !stalled {
+                if self.nonmem_left == 0 && self.pending_mem.is_none() {
+                    let op = self.trace.next_op();
+                    self.nonmem_left = op.nonmem;
+                    self.pending_mem = op.mem;
+                    if op.nonmem == 0 && op.mem.is_none() {
+                        break;
+                    }
+                }
+                if self.nonmem_left > 0 {
+                    self.nonmem_left -= 1;
+                    self.rob.push_back((ready_at, None));
+                    fetched += 1;
+                    continue;
+                }
+                if let Some(mem) = self.pending_mem {
+                    let tag = self.next_tag;
+                    match submit(mem, tag) {
+                        SubmitResult::Accepted { .. } => {
+                            self.next_tag += 1;
+                            if mem.is_write {
+                                self.stats.writes_issued += 1;
+                                self.rob.push_back((ready_at, None));
+                            } else {
+                                self.stats.reads_issued += 1;
+                                self.rob.push_back((now_cpu, Some(tag)));
+                            }
+                            self.pending_mem = None;
+                            fetched += 1;
+                        }
+                        SubmitResult::Hit => {
+                            self.next_tag += 1;
+                            self.rob.push_back((ready_at, None));
+                            self.pending_mem = None;
+                            fetched += 1;
+                        }
+                        SubmitResult::Rejected => stalled = true,
+                    }
+                }
+            }
+            if stalled || (self.rob.len() >= self.cfg.rob_size && fetched == 0) {
+                self.stats.stall_cycles += 1;
+            }
+        }
+    }
+
+    /// A scripted memory system: the k-th offer gets `outcomes[k % len]`
+    /// (accept, hit, reject), and the k-th accepted read completes
+    /// `delays[k % len]` cycles after it was accepted.
+    struct ScriptedMemory {
+        outcomes: Vec<u8>,
+        delays: Vec<u64>,
+        offers: Vec<(MemOp, u64)>,
+        reads: usize,
+        inflight: Vec<(u64, u64)>,
+    }
+
+    impl ScriptedMemory {
+        fn new(outcomes: &[u8], delays: &[u64]) -> Self {
+            let (outcomes, delays) = (outcomes.to_vec(), delays.to_vec());
+            ScriptedMemory { outcomes, delays, offers: Vec::new(), reads: 0, inflight: Vec::new() }
+        }
+
+        fn submit(&mut self, now: u64, op: MemOp, tag: u64) -> SubmitResult {
+            let outcome = self.outcomes[self.offers.len() % self.outcomes.len()];
+            self.offers.push((op, tag));
+            match outcome {
+                0 => {
+                    if !op.is_write {
+                        let delay = self.delays[self.reads % self.delays.len()];
+                        self.inflight.push((now + delay, tag));
+                        self.reads += 1;
+                    }
+                    SubmitResult::Accepted { tag }
+                }
+                1 => SubmitResult::Hit,
+                _ => SubmitResult::Rejected,
+            }
+        }
+
+        /// Tags whose data is due by `now`, in acceptance order.
+        fn due(&mut self, now: u64) -> Vec<u64> {
+            let due = self.inflight.iter().filter(|&&(at, _)| at <= now).map(|&(_, t)| t).collect();
+            self.inflight.retain(|&(at, _)| at > now);
+            due
+        }
+    }
+
+    /// The run-length core's ROB, one `(retire_at, waiting_on)` per
+    /// instruction, after checking the group invariants.
+    fn expanded(core: &OooCore) -> Vec<(u64, Option<u64>)> {
+        assert!(core.rob.iter().all(|g| g.count > 0 && (g.waiting_on.is_none() || g.count == 1)));
+        assert_eq!(core.rob_len, core.rob.iter().map(|g| g.count as usize).sum::<usize>());
+        core.rob.iter().flat_map(|g| (0..g.count).map(|_| (g.retire_at, g.waiting_on))).collect()
+    }
+
+    /// A trace op from a `(kind, nonmem, line)` draw: mostly compute,
+    /// plus empty `compute(0)` ops, reads and writes after `nonmem`
+    /// instructions, and mem-only reads and writes.
+    fn trace_op((kind, nonmem, line): (u8, u32, u64)) -> TraceOp {
+        match kind {
+            0..=3 => TraceOp::compute(nonmem.max(1)),
+            4 => TraceOp::compute(0),
+            5 => TraceOp::with_mem(nonmem, MemOp::read(line)),
+            6 => TraceOp::with_mem(nonmem, MemOp::write(line)),
+            7 => TraceOp::with_mem(0, MemOp::read(line)),
+            _ => TraceOp::with_mem(0, MemOp::write(line)),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Lockstep against the per-instruction reference: after every
+        /// cycle the stats, `idle_until`, ROB contents and offered
+        /// `(MemOp, tag)` sequence agree. An accepted `advance_compute`
+        /// equals `n` stepped cycles; a declined one changes nothing.
+        #[test]
+        fn rle_core_matches_per_instruction_reference(
+            (width, pipeline_depth, rob_size) in (1u32..=8, 0u32..=20, 1usize..=192),
+            ops in proptest::collection::vec((0u8..9, 0u32..160, 0u64..64), 1..10),
+            outcomes in proptest::collection::vec(0u8..3, 1..8),
+            delays in proptest::collection::vec(0u64..40, 1..8),
+            script in proptest::collection::vec((0u8..4, 1u64..6), 1..400),
+        ) {
+            // The steady compute state needs `rob_size >= depth·width`;
+            // in a share of the cases it can never form.
+            let cfg = CoreConfig { rob_size, width, pipeline_depth };
+            let ops: Vec<TraceOp> = ops.into_iter().map(trace_op).collect();
+            let mut reference = RefCore::new(cfg, Box::new(VecTrace::new(ops.clone())));
+            let mut core = OooCore::new(cfg, Box::new(VecTrace::new(ops)));
+            let mut ref_mem = ScriptedMemory::new(&outcomes, &delays);
+            let mut mem = ScriptedMemory::new(&outcomes, &delays);
+            let mut now = 0;
+            for (action, n) in script {
+                for tag in ref_mem.due(now) {
+                    reference.completed_tags.push(tag);
+                }
+                for tag in mem.due(now) {
+                    core.complete_read(tag);
+                }
+                if action == 0 {
+                    let before = (*core.stats(), core.idle_until(), expanded(&core));
+                    if !core.advance_compute(now, n) {
+                        proptest::prop_assert_eq!(
+                            (*core.stats(), core.idle_until(), expanded(&core)),
+                            before
+                        );
+                        continue;
+                    }
+                    proptest::prop_assert!(mem.inflight.is_empty());
+                    let offers = ref_mem.offers.len();
+                    for c in now..now + n {
+                        reference.cycle(c, |op, tag| ref_mem.submit(c, op, tag));
+                    }
+                    proptest::prop_assert_eq!(ref_mem.offers.len(), offers);
+                    now += n;
+                } else {
+                    reference.cycle(now, |op, tag| ref_mem.submit(now, op, tag));
+                    core.cycle(now, |op, tag| mem.submit(now, op, tag));
+                    now += 1;
+                }
+                proptest::prop_assert_eq!(&reference.stats, core.stats());
+                proptest::prop_assert_eq!(reference.idle_until(), core.idle_until());
+                proptest::prop_assert!(reference.rob.iter().copied().eq(expanded(&core)));
+                proptest::prop_assert_eq!(&ref_mem.offers, &mem.offers);
+            }
+        }
     }
 }

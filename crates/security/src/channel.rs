@@ -113,7 +113,7 @@ pub fn run_covert_protocol(
 
     // Median-threshold decoder.
     let mut lats: Vec<f64> = window_data.iter().map(|&(_, l)| l).collect();
-    lats.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    lats.sort_by(f64::total_cmp);
     let threshold = if lats.is_empty() { 0.0 } else { lats[lats.len() / 2] };
     let errors = window_data.iter().filter(|&&(bit, lat)| (lat > threshold) != bit).count();
     let ber = if window_data.is_empty() {

@@ -149,6 +149,9 @@ pub struct System {
     fp_skipped: u64,
     /// Telemetry: controller ticks elided inside stepped cycles.
     fp_elided: u64,
+    /// Telemetry: core CPU cycles run by [`OooCore::advance_compute`]
+    /// instead of [`OooCore::cycle`].
+    fp_advanced: u64,
     /// Observability: trace-event recorder ([`System::enable_tracing`]).
     /// `None` keeps every hook a single branch — nothing is built,
     /// nothing allocates, results are bit-identical to a build without
@@ -342,6 +345,7 @@ impl System {
             elide_armed: true,
             fp_skipped: 0,
             fp_elided: 0,
+            fp_advanced: 0,
             trace: None,
             obs_metrics: None,
             obs_cmd_buf: Vec::new(),
@@ -546,6 +550,14 @@ impl System {
     /// Both are zero with the fast path off.
     pub fn fastpath_counters(&self) -> (u64, u64) {
         (self.fp_skipped, self.fp_elided)
+    }
+
+    /// Fast-path coverage in the core model: CPU cycles, summed over
+    /// cores, that a core in its steady compute state ran in one
+    /// [`OooCore::advance_compute`] step instead of cycle by cycle. Zero
+    /// with the fast path off.
+    pub fn advanced_core_cycles(&self) -> u64 {
+        self.fp_advanced
     }
 
     /// Takes the recorded command log (empty unless recording enabled).
@@ -778,11 +790,14 @@ impl System {
         // 4. CPU cycles. Cores provably stalled for the whole DRAM cycle
         // (full ROB, nothing delivered above, head not retirable before
         // the cycle ends) are bulk-charged instead of stepped — they
-        // could not fetch, submit, or retire anyway.
+        // could not fetch, submit, or retire anyway. Cores in the steady
+        // full-width compute state are advanced the same way: they
+        // submit nothing this cycle, so skipping their steps cannot
+        // reorder anything the controller sees.
         let ratio = self.cfg.timing.cpu_ratio as u64;
         let end_cpu = (c + 1) * ratio;
         let fastpath = self.fastpath;
-        let mut all_stalled = true;
+        let mut any_active = false;
         for (i, core) in self.cores.iter_mut().enumerate() {
             let stalled = !self.attached[i]
                 || (fastpath
@@ -791,13 +806,15 @@ impl System {
                         CoreIdle::BlockedOnMemory => true,
                         CoreIdle::WakeAt(wake) => wake >= end_cpu,
                     });
-            self.core_active[i] = !stalled;
-            all_stalled &= stalled;
+            let advanced = !stalled && fastpath && core.advance_compute(c * ratio, ratio);
+            self.core_active[i] = !stalled && !advanced;
+            any_active |= self.core_active[i];
             if stalled {
                 core.skip_stalled(ratio, end_cpu);
             }
+            self.fp_advanced += advanced as u64 * ratio;
         }
-        if !all_stalled {
+        if any_active {
             for sub in 0..ratio {
                 let cpu_now = c * ratio + sub;
                 self.cpu_cycle(cpu_now);

@@ -8,10 +8,12 @@
 
 use fsmc::bench::weighted_ipc_suite_with;
 use fsmc::core::sched::{ReconfigEvent, SchedulerKind as K};
+use fsmc::cpu::TraceSource;
 use fsmc::dram::command::TimedCommand;
 use fsmc::dram::DeviceGeneration;
+use fsmc::leak::{default_secret, Protocol};
 use fsmc::sim::{Engine, ExperimentJob, FaultPlan, System, SystemConfig};
-use fsmc::workload::WorkloadMix;
+use fsmc::workload::{IdleTrace, ProbeTrace, WorkloadMix};
 
 fn fingerprint(kind: K, seed: u64) -> (Vec<f64>, u64, u64) {
     let cfg = SystemConfig::paper_default(kind);
@@ -152,6 +154,39 @@ fn fast_path_preserves_execution_profiles_and_read_runs() {
         assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "{kind}: read-run stats diverge");
         assert_eq!(fast.take_observations(), slow.take_observations(), "{kind}: observations");
         assert_eq!(fast.dram_cycle(), slow.dram_cycle(), "{kind}: end cycles diverge");
+    }
+}
+
+/// The core model's bulk compute advance is exact. On the covert set-up
+/// (probe receiver, intensity sender, idle co-runners) and on mix2, the
+/// statistics match per-cycle stepping, the advance runs on the fast
+/// path, and it never runs with the fast path off. The generations'
+/// CPU-to-DRAM clock ratios (4, 4, 2, 3) set how many core cycles one
+/// advance covers.
+#[test]
+fn compute_advance_is_bit_identical_and_covers_compute_phases() {
+    for device in DeviceGeneration::all() {
+        for kind in [K::Baseline, K::FsRankPartitioned] {
+            let cfg = SystemConfig::for_device(device, kind, 8);
+            let covert = || {
+                let (sender, _) = Protocol::Intensity.build(&default_secret());
+                let mut traces: Vec<Box<dyn TraceSource>> =
+                    vec![Box::new(ProbeTrace::new(20)), sender];
+                traces.extend((2..cfg.cores).map(|_| Box::new(IdleTrace) as Box<dyn TraceSource>));
+                System::new(&cfg, traces)
+            };
+            let mix2 = || System::from_mix(&cfg, &WorkloadMix::mix2(), 3);
+            let setups: [(&str, &dyn Fn() -> System); 2] = [("covert", &covert), ("mix2", &mix2)];
+            for (name, build) in setups {
+                let mut fast = build();
+                let mut slow = build();
+                slow.disable_fastpath();
+                let (f, s) = (fast.run_cycles(10_000), slow.run_cycles(10_000));
+                assert_eq!(format!("{f:?}"), format!("{s:?}"), "{device} {kind} {name}: stats");
+                assert!(fast.advanced_core_cycles() > 0, "{device} {kind} {name}: no advance");
+                assert_eq!(slow.advanced_core_cycles(), 0, "{device} {kind} {name}");
+            }
+        }
     }
 }
 

@@ -39,35 +39,36 @@ fn capacity_csv_is_byte_identical_across_thread_counts() {
 #[test]
 fn capacity_cell_is_byte_identical_with_and_without_fastpath() {
     let secret = default_secret();
-    for kind in [K::Baseline, K::FsRankPartitioned] {
-        let fast = measure_cell(
-            DeviceGeneration::Ddr3_1600,
-            kind,
-            Protocol::Intensity,
-            &secret,
-            WINDOW_CYCLES,
-            WINDOWS,
-            false,
-        )
-        .unwrap();
-        let slow = measure_cell(
-            DeviceGeneration::Ddr3_1600,
-            kind,
-            Protocol::Intensity,
-            &secret,
-            WINDOW_CYCLES,
-            WINDOWS,
-            true,
-        )
-        .unwrap();
-        assert_eq!(
-            csv_row(&fast),
-            csv_row(&slow),
-            "{kind:?}: decoder saw different latencies on the two simulation paths"
-        );
-        // Stronger than the rounded CSV: the raw window series matches.
-        assert_eq!(fast.ber.to_bits(), slow.ber.to_bits());
-        assert_eq!(fast.mi_bits.to_bits(), slow.mi_bits.to_bits());
+    // The covert grid's two generations. Both run four CPU cycles per
+    // DRAM cycle; `tests/determinism.rs` pins the idle co-runners'
+    // compute advance at the other ratios (LPDDR4 two, HBM2 three).
+    for device in [DeviceGeneration::Ddr3_1600, DeviceGeneration::Ddr4_2400] {
+        for protocol in Protocol::all() {
+            for kind in [K::Baseline, K::FsRankPartitioned] {
+                let cell = |no_fastpath| {
+                    measure_cell(
+                        device,
+                        kind,
+                        protocol,
+                        &secret,
+                        WINDOW_CYCLES,
+                        WINDOWS,
+                        no_fastpath,
+                    )
+                    .unwrap()
+                };
+                let (fast, slow) = (cell(false), cell(true));
+                assert_eq!(
+                    csv_row(&fast),
+                    csv_row(&slow),
+                    "{device} {protocol:?} {kind:?}: decoder saw different latencies on the \
+                     two simulation paths"
+                );
+                // Stronger than the rounded CSV: the raw window series matches.
+                assert_eq!(fast.ber.to_bits(), slow.ber.to_bits());
+                assert_eq!(fast.mi_bits.to_bits(), slow.mi_bits.to_bits());
+            }
+        }
     }
 }
 
