@@ -9,8 +9,8 @@
 //!
 //! The ROB is stored run-length encoded, so a compute-bound core costs
 //! one group per fetch cycle rather than one entry per instruction, and
-//! [`OooCore::advance_compute`] moves a core in its steady full-width
-//! compute state forward many cycles at once.
+//! [`OooCore::steady_cycles`] / [`OooCore::advance_compute`] move a core
+//! in its steady full-width compute state forward many cycles at once.
 
 use crate::trace::{MemOp, TraceOp, TraceSource};
 use std::collections::VecDeque;
@@ -104,7 +104,7 @@ struct RobGroup {
 /// A single out-of-order core consuming a trace.
 ///
 /// The ROB is run-length encoded: fetching a cycle's worth of
-/// non-memory instructions pushes one [`RobGroup`], and retiring takes
+/// non-memory instructions pushes one `RobGroup`, and retiring takes
 /// `min(count, width - retired)` off the front one. Per-instruction
 /// semantics are exact; `rob_len` counts instructions, not groups.
 pub struct OooCore {
@@ -116,7 +116,7 @@ pub struct OooCore {
     /// Non-memory instructions still to fetch before the pending mem op.
     nonmem_left: u64,
     pending_mem: Option<MemOp>,
-    /// An op read from the trace by [`OooCore::advance_compute`] that it
+    /// An op read from the trace by [`OooCore::steady_cycles`] that it
     /// could not fold into `nonmem_left`; fetch consumes it before
     /// asking the trace again.
     lookahead: Option<TraceOp>,
@@ -193,55 +193,74 @@ impl OooCore {
         self.stats.cpu_cycles = self.stats.cpu_cycles.max(next_cpu_cycle);
     }
 
-    /// Runs CPU cycles `now_cpu..now_cpu + n` in one step if the core is
-    /// in the steady full-width compute state throughout, and reports
-    /// whether it did. Bit-identical to `n` calls of [`OooCore::cycle`],
-    /// none of which would have offered a memory operation.
+    /// How many of the CPU cycles `now_cpu..now_cpu + cap` the core
+    /// provably spends in its steady full-width compute state, none of
+    /// them offering a memory operation. [`OooCore::advance_compute`] runs
+    /// any prefix of them in one step.
     ///
-    /// The steady state: no completions pending and exactly
-    /// `pipeline_depth` groups of `width` instructions, none a read, with
-    /// `retire_at` running `now_cpu, now_cpu + 1, ...`. Each cycle then
-    /// retires the front group and fetches an identical one at the back,
-    /// so `n` cycles shift every `retire_at` by `n` — provided fetch has
-    /// `n·width` non-memory instructions to take. Compute-only ops are
-    /// pulled from the trace and folded into that budget (per-cycle
-    /// fetch would read them in the same order); a memory or empty op
-    /// ends the state and is kept for fetch.
+    /// The steady state: no completions pending and `k ≥ pipeline_depth`
+    /// groups (at least one), each exactly `width` instructions and none
+    /// a read, with group `i` retirable by cycle `now_cpu + i` and the
+    /// back group retiring before `now_cpu + pipeline_depth`. Each cycle
+    /// then retires the front group and fetches one retiring at
+    /// `now + pipeline_depth` that cannot merge into the back, which
+    /// keeps the shape — provided fetch has `width` non-memory
+    /// instructions to take. Compute-only ops are pulled from the trace
+    /// and folded into that budget up to `cap·width` instructions
+    /// (per-cycle fetch would read them in the same order); a memory or
+    /// empty op ends the fold and is kept for fetch.
     ///
-    /// On `false` nothing a later cycle observes has changed: only ops
-    /// fetch would have read next may have moved into the core.
-    pub fn advance_compute(&mut self, now_cpu: u64, n: u64) -> bool {
+    /// Returns 0 outside the steady state. Either way nothing a later
+    /// cycle observes has changed: only ops fetch would have read next
+    /// may have moved into the core.
+    pub fn steady_cycles(&mut self, now_cpu: u64, cap: u64) -> u64 {
         let (width, depth) = (self.cfg.width, self.cfg.pipeline_depth as u64);
-        let steady = depth > 0
+        let k = self.rob.len() as u64;
+        let steady = k > 0
+            && k >= depth
             && self.completed_tags.is_empty()
-            && self.rob.len() as u64 == depth
+            && self.rob.back().is_some_and(|g| g.retire_at < now_cpu + depth)
             && self
                 .rob
                 .iter()
                 .zip(now_cpu..)
-                .all(|(g, at)| g.count == width && g.waiting_on.is_none() && g.retire_at == at);
-        if n == 0 || !steady {
-            return false;
+                .all(|(g, by)| g.count == width && g.waiting_on.is_none() && g.retire_at <= by);
+        if !steady {
+            return 0;
         }
-        let need = n * width as u64;
-        while self.nonmem_left < need {
-            if self.pending_mem.is_some() {
-                return false;
-            }
+        let width = width as u64;
+        while self.nonmem_left < cap * width && self.pending_mem.is_none() {
             let op = self.lookahead.take().unwrap_or_else(|| self.trace.next_op());
             if op.mem.is_some() || op.nonmem == 0 {
                 self.lookahead = Some(op);
-                return false;
+                break;
             }
             self.nonmem_left += op.nonmem as u64;
         }
-        for g in &mut self.rob {
-            g.retire_at += n;
+        (self.nonmem_left / width).min(cap)
+    }
+
+    /// Runs CPU cycles `now_cpu..now_cpu + n` in one step. Bit-identical
+    /// to `n` calls of [`OooCore::cycle`], provided
+    /// [`OooCore::steady_cycles`] returned at least `n` at `now_cpu` and
+    /// nothing has reached the core since.
+    ///
+    /// Cycle `j` pops the front group and pushes one retiring at
+    /// `now_cpu + j + pipeline_depth`, so only the last `min(n, k)`
+    /// pushes survive: O(min(n, k)) for `k` groups.
+    pub fn advance_compute(&mut self, now_cpu: u64, n: u64) {
+        let (width, depth) = (self.cfg.width, self.cfg.pipeline_depth as u64);
+        let need = n * width as u64;
+        debug_assert!(self.nonmem_left >= need, "advance past the folded fetch budget");
+        let popped = n.min(self.rob.len() as u64);
+        self.rob.drain(..popped as usize);
+        for j in n - popped..n {
+            let retire_at = now_cpu + j + depth;
+            self.rob.push_back(RobGroup { retire_at, count: width, waiting_on: None });
         }
         self.nonmem_left -= need;
         self.stats.instructions_retired += need;
         self.stats.cpu_cycles = self.stats.cpu_cycles.max(now_cpu + n);
-        true
     }
 
     /// Appends `count` instructions that retire at `retire_at` without
@@ -513,14 +532,15 @@ mod tests {
         // The steady state needs `pipeline_depth` cycles of fetch first.
         let mut now = 0;
         while now < 10 {
-            assert!(!advanced.advance_compute(now, 4));
+            assert_eq!(advanced.steady_cycles(now, 4), 0);
             stepped.cycle(now, |_, _| unreachable!("no memory ops in this trace"));
             advanced.cycle(now, |_, _| unreachable!("no memory ops in this trace"));
             now += 1;
         }
         // Spans cross op boundaries (64 + 7 instructions per loop).
         for _ in 0..1000 {
-            assert!(advanced.advance_compute(now, 3));
+            assert_eq!(advanced.steady_cycles(now, 3), 3);
+            advanced.advance_compute(now, 3);
             for c in now..now + 3 {
                 stepped.cycle(c, |_, _| unreachable!());
             }
@@ -533,25 +553,63 @@ mod tests {
     }
 
     #[test]
-    fn advance_compute_declines_outside_the_steady_state() {
-        // A memory op next in the trace ends the state: it stays queued
-        // for fetch and the core is left as it was.
+    fn advance_compute_covers_a_full_rob_draining_after_a_read() {
+        // A read blocks the head while fetch fills all 64 entries; once
+        // it retires the core runs at full width with 16 groups of 4 in
+        // the ROB, all retirable on arrival at the head — `k > depth`.
+        let mk = || {
+            let trace = VecTrace::new(vec![
+                TraceOp::with_mem(0, MemOp::read(1)),
+                TraceOp::compute(2_000),
+                TraceOp::compute(500),
+            ]);
+            OooCore::new(CoreConfig::paper_default(), Box::new(trace))
+        };
+        let (mut stepped, mut advanced) = (mk(), mk());
+        for core in [&mut stepped, &mut advanced] {
+            for c in 0..40 {
+                core.cycle(c, |_, tag| SubmitResult::Accepted { tag });
+            }
+            core.complete_read(0);
+            for c in 40..42 {
+                core.cycle(c, |_, _| unreachable!("compute only after the read"));
+            }
+        }
+        let mut now = 42;
+        assert_eq!(advanced.rob.len(), 16);
+        for n in [1, 5, 17, 40, 3, 16, 90] {
+            assert_eq!(advanced.steady_cycles(now, n), n);
+            advanced.advance_compute(now, n);
+            for c in now..now + n {
+                stepped.cycle(c, |_, _| unreachable!());
+            }
+            now += n;
+            assert_eq!(stepped.stats(), advanced.stats());
+            assert_eq!(stepped.rob, advanced.rob);
+        }
+    }
+
+    #[test]
+    fn steady_cycles_stops_at_the_next_memory_op() {
+        // A memory op next in the trace ends the state: the cycles the
+        // remaining compute budget covers are steady, the op stays
+        // queued for fetch and the core is left as it was.
         let trace = VecTrace::new(vec![TraceOp::compute(48), TraceOp::with_mem(0, MemOp::read(1))]);
         let mut core = OooCore::new(CoreConfig::paper_default(), Box::new(trace));
         for c in 0..10 {
             core.cycle(c, |_, _| unreachable!("the read is not fetched yet"));
         }
         let (stats, rob) = (*core.stats(), core.rob.clone());
-        assert!(!core.advance_compute(10, 3));
+        assert_eq!(core.steady_cycles(10, 3), 2, "8 instructions left before the read");
         assert_eq!((*core.stats(), &core.rob), (stats, &rob));
         assert!(core.lookahead.is_some());
-        // A zero-depth pipeline never reaches the shape the advance needs.
+        assert_eq!(core.steady_cycles(10, 3), 2);
+        // An empty ROB retires nothing next cycle, whatever the depth.
         let cfg = CoreConfig { pipeline_depth: 0, ..CoreConfig::paper_default() };
         let mut core = OooCore::new(cfg, Box::new(VecTrace::new(vec![TraceOp::compute(64)])));
-        for c in 0..20 {
-            assert!(!core.advance_compute(c, 1));
-            core.cycle(c, |_, _| unreachable!());
-        }
+        assert_eq!(core.steady_cycles(0, 1), 0);
+        core.cycle(0, |_, _| unreachable!());
+        assert_eq!(core.steady_cycles(1, 5), 5, "one group suffices at depth 0");
     }
 
     /// The per-instruction ROB the run-length one replaced, kept as the
@@ -732,18 +790,20 @@ mod tests {
 
         /// Lockstep against the per-instruction reference: after every
         /// cycle the stats, `idle_until`, ROB contents and offered
-        /// `(MemOp, tag)` sequence agree. An accepted `advance_compute`
-        /// equals `n` stepped cycles; a declined one changes nothing.
+        /// `(MemOp, tag)` sequence agree. `steady_cycles` changes nothing
+        /// observable, and an advance over any prefix of the cycles it
+        /// grants equals that many stepped cycles.
         #[test]
         fn rle_core_matches_per_instruction_reference(
             (width, pipeline_depth, rob_size) in (1u32..=8, 0u32..=20, 1usize..=192),
             ops in proptest::collection::vec((0u8..9, 0u32..160, 0u64..64), 1..10),
             outcomes in proptest::collection::vec(0u8..3, 1..8),
             delays in proptest::collection::vec(0u64..40, 1..8),
-            script in proptest::collection::vec((0u8..4, 1u64..6), 1..400),
+            script in proptest::collection::vec((0u8..4, 1u64..64, 0u64..3), 1..400),
         ) {
             // The steady compute state needs `rob_size >= depth·width`;
-            // in a share of the cases it can never form.
+            // in a share of the cases it can never form, and above it a
+            // ROB that filled behind a read drains with `k > depth`.
             let cfg = CoreConfig { rob_size, width, pipeline_depth };
             let ops: Vec<TraceOp> = ops.into_iter().map(trace_op).collect();
             let mut reference = RefCore::new(cfg, Box::new(VecTrace::new(ops.clone())));
@@ -751,7 +811,7 @@ mod tests {
             let mut ref_mem = ScriptedMemory::new(&outcomes, &delays);
             let mut mem = ScriptedMemory::new(&outcomes, &delays);
             let mut now = 0;
-            for (action, n) in script {
+            for (action, cap, short) in script {
                 for tag in ref_mem.due(now) {
                     reference.completed_tags.push(tag);
                 }
@@ -760,13 +820,17 @@ mod tests {
                 }
                 if action == 0 {
                     let before = (*core.stats(), core.idle_until(), expanded(&core));
-                    if !core.advance_compute(now, n) {
-                        proptest::prop_assert_eq!(
-                            (*core.stats(), core.idle_until(), expanded(&core)),
-                            before
-                        );
+                    let steady = core.steady_cycles(now, cap);
+                    proptest::prop_assert!(steady <= cap);
+                    proptest::prop_assert_eq!(
+                        (*core.stats(), core.idle_until(), expanded(&core)),
+                        before
+                    );
+                    let n = steady - steady.min(short);
+                    if n == 0 {
                         continue;
                     }
+                    core.advance_compute(now, n);
                     proptest::prop_assert!(mem.inflight.is_empty());
                     let offers = ref_mem.offers.len();
                     for c in now..now + n {

@@ -52,6 +52,30 @@ impl Ord for PendingDelivery {
     }
 }
 
+/// The longest compute sleep, in DRAM cycles. A steady core whose trace
+/// never reaches a memory op ([`fsmc_workload::IdleTrace`]) would
+/// otherwise sleep forever and fold its whole trace into one fetch
+/// budget; waking it this often bounds both.
+const COMPUTE_HORIZON: u64 = 1024;
+
+/// What a core does between visits of [`System::step`]. A sleeping core
+/// is not visited before its `until` cycle, a delivery to it, or its
+/// detach or attach; [`System::settle`] then charges the DRAM cycles
+/// `since..` the wake cycle in one call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sleep {
+    /// Stepped at the next step, then classified for the cycle after.
+    Awake,
+    /// Stall-only (full ROB, head not retirable) through `until - 1`:
+    /// `until` is the DRAM cycle of the head's retire cycle, or
+    /// `u64::MAX` when the head waits on memory or the core is detached.
+    Stalled { since: u64, until: u64 },
+    /// In the steady full-width compute state through `until - 1`
+    /// ([`OooCore::steady_cycles`]): it retires and fetches but offers
+    /// nothing to the memory system.
+    Compute { since: u64, until: u64 },
+}
+
 /// A reconfiguration waiting for its drained epoch boundary.
 ///
 /// Between `requested_at` and `adopt_at` the old schedule keeps running
@@ -127,9 +151,10 @@ pub struct System {
     completion_buf: Vec<Completion>,
     /// Reusable buffer for draining the command log into the monitor.
     monitor_buf: Vec<TimedCommand>,
-    /// Per-core scratch: does core `i` execute this DRAM cycle's CPU
-    /// sub-cycles, or is it provably stalled throughout (bulk-charged)?
-    core_active: Vec<bool>,
+    /// Per-core sleep record: only an [`Sleep::Awake`] core runs the
+    /// CPU sub-cycles of a step. With the fast path off only a detached
+    /// core sleeps, so every tenant is stepped cycle by cycle.
+    sleep: Vec<Sleep>,
     /// Cached [`MemoryController::next_event`] bound: on the fast path,
     /// ticks strictly before this cycle are provable no-ops and are
     /// elided even when cores stay busy. Every `enqueue` lowers it by
@@ -150,7 +175,7 @@ pub struct System {
     /// Telemetry: controller ticks elided inside stepped cycles.
     fp_elided: u64,
     /// Telemetry: core CPU cycles run by [`OooCore::advance_compute`]
-    /// instead of [`OooCore::cycle`].
+    /// instead of [`OooCore::cycle`], in settled compute sleeps.
     fp_advanced: u64,
     /// Observability: trace-event recorder ([`System::enable_tracing`]).
     /// `None` keeps every hook a single branch — nothing is built,
@@ -163,10 +188,9 @@ pub struct System {
     obs_cmd_buf: Vec<ObsCommand>,
     /// Reusable drain buffer for scheduler slot/degradation events.
     obs_sched_buf: Vec<SchedEvent>,
-    /// Is core `i` an active tenant? Distinct from the per-step
-    /// `core_active` scratch: a detached core (left, killed by a dead
-    /// rank, or not yet joined) is bulk-charged as stalled every cycle
-    /// and never vetoes a skip, while its domain's slots carry dummies.
+    /// Is core `i` an active tenant? A detached core (left, killed by a
+    /// dead rank, or not yet joined) sleeps stalled until it attaches and
+    /// never bounds a skip, while its domain's slots carry dummies.
     attached: Vec<bool>,
     /// Scheduled reconfiguration events, sorted by fire cycle (stable
     /// for same-cycle events). [`System::step`] promotes due events into
@@ -340,7 +364,7 @@ impl System {
             fastpath: !crate::env::no_fastpath(),
             completion_buf: Vec::new(),
             monitor_buf: Vec::new(),
-            core_active: vec![true; cfg.cores as usize],
+            sleep: vec![Sleep::Awake; cfg.cores as usize],
             mc_next_tick: 0,
             elide_armed: true,
             fp_skipped: 0,
@@ -458,13 +482,15 @@ impl System {
     }
 
     /// Detaches a tenant: its outstanding reads are forgotten (late
-    /// deliveries are discarded) and from now on it is bulk-charged as
-    /// stalled. Controller-side queue drops happen in
+    /// deliveries are discarded) and from now on it sleeps stalled.
+    /// Controller-side queue drops happen in
     /// [`MemoryController::reconfigure`].
     fn detach_core(&mut self, i: usize) {
         if i >= self.attached.len() || !self.attached[i] {
             return;
         }
+        self.settle(i, self.dram_cycle);
+        self.sleep[i] = Sleep::Stalled { since: self.dram_cycle, until: u64::MAX };
         self.attached[i] = false;
         self.txn_meta.retain(|&(_, core, _)| core as usize != i);
     }
@@ -516,6 +542,7 @@ impl System {
                 ReconfigEvent::DomainJoin { domain } => {
                     let i = domain as usize;
                     if i < self.attached.len() {
+                        self.settle(i, c);
                         self.attached[i] = true;
                     }
                 }
@@ -557,7 +584,12 @@ impl System {
     /// [`OooCore::advance_compute`] step instead of cycle by cycle. Zero
     /// with the fast path off.
     pub fn advanced_core_cycles(&self) -> u64 {
-        self.fp_advanced
+        let ratio = self.cfg.timing.cpu_ratio as u64;
+        let open = self.sleep.iter().map(|s| match *s {
+            Sleep::Compute { since, .. } => (self.dram_cycle - since) * ratio,
+            _ => 0,
+        });
+        self.fp_advanced + open.sum::<u64>()
     }
 
     /// Takes the recorded command log (empty unless recording enabled).
@@ -749,7 +781,7 @@ impl System {
                 break;
             }
             self.deliveries.pop();
-            self.deliver(d.completion);
+            self.deliver(d.completion, c);
         }
         // 3. This tick's completions: deliver due data directly (the
         // common case — no heap traffic at all), stage only the future.
@@ -772,7 +804,7 @@ impl System {
             }
             for completion in buf.drain(..) {
                 if completion.finish <= c {
-                    self.deliver(completion);
+                    self.deliver(completion, c);
                 } else {
                     self.delivery_seq += 1;
                     self.deliveries.push(Reverse(PendingDelivery {
@@ -787,37 +819,36 @@ impl System {
                 self.drain_obs();
             }
         }
-        // 4. CPU cycles. Cores provably stalled for the whole DRAM cycle
-        // (full ROB, nothing delivered above, head not retirable before
-        // the cycle ends) are bulk-charged instead of stepped — they
-        // could not fetch, submit, or retire anyway. Cores in the steady
-        // full-width compute state are advanced the same way: they
-        // submit nothing this cycle, so skipping their steps cannot
-        // reorder anything the controller sees.
-        let ratio = self.cfg.timing.cpu_ratio as u64;
-        let end_cpu = (c + 1) * ratio;
-        let fastpath = self.fastpath;
-        let mut any_active = false;
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            let stalled = !self.attached[i]
-                || (fastpath
-                    && match core.idle_until() {
-                        CoreIdle::Active => false,
-                        CoreIdle::BlockedOnMemory => true,
-                        CoreIdle::WakeAt(wake) => wake >= end_cpu,
-                    });
-            let advanced = !stalled && fastpath && core.advance_compute(c * ratio, ratio);
-            self.core_active[i] = !stalled && !advanced;
-            any_active |= self.core_active[i];
-            if stalled {
-                core.skip_stalled(ratio, end_cpu);
+        // 4. CPU cycles. Only awake cores run the sub-cycles: a sleeping
+        // core could not fetch, submit, or (in a stall) retire anyway,
+        // so leaving it out cannot reorder anything the controller sees.
+        // A sleeper wakes at its `until` cycle here (a delivery, detach
+        // or attach above has woken it already), and every core still
+        // awake after the sub-cycles is classified for the next cycle.
+        let mut any_awake = false;
+        for i in 0..self.cores.len() {
+            match self.sleep[i] {
+                Sleep::Awake => {}
+                Sleep::Stalled { until, .. } | Sleep::Compute { until, .. } => {
+                    if c < until {
+                        continue;
+                    }
+                    self.settle(i, c);
+                }
             }
-            self.fp_advanced += advanced as u64 * ratio;
+            any_awake = true;
         }
-        if any_active {
+        if any_awake {
+            let ratio = self.cfg.timing.cpu_ratio as u64;
             for sub in 0..ratio {
-                let cpu_now = c * ratio + sub;
-                self.cpu_cycle(cpu_now);
+                self.cpu_cycle(c * ratio + sub);
+            }
+            if self.fastpath {
+                for i in 0..self.cores.len() {
+                    if self.sleep[i] == Sleep::Awake {
+                        self.sleep[i] = self.classify(i, c + 1);
+                    }
+                }
             }
         }
         // 5. Online invariant monitoring over this cycle's commands.
@@ -827,45 +858,98 @@ impl System {
         self.dram_cycle += 1;
     }
 
+    /// How awake core `i`, stepped through DRAM cycle `c - 1`, spends
+    /// cycle `c` and the cycles after it. Staying awake is always sound;
+    /// a sleep holds until something reaches the core, and everything
+    /// that can (a delivery, detach, attach) settles it first.
+    fn classify(&mut self, i: usize, c: u64) -> Sleep {
+        debug_assert!(self.attached[i], "a detached core sleeps until it attaches");
+        let ratio = self.cfg.timing.cpu_ratio as u64;
+        let core = &mut self.cores[i];
+        match core.idle_until() {
+            CoreIdle::BlockedOnMemory => return Sleep::Stalled { since: c, until: u64::MAX },
+            CoreIdle::WakeAt(wake) if wake >= (c + 1) * ratio => {
+                return Sleep::Stalled { since: c, until: wake / ratio }
+            }
+            _ => {}
+        }
+        match core.steady_cycles(c * ratio, COMPUTE_HORIZON * ratio) / ratio {
+            0 => Sleep::Awake,
+            n => Sleep::Compute { since: c, until: c + n },
+        }
+    }
+
+    /// Wakes core `i` at DRAM cycle `c` (`since <= c <= until`), charging
+    /// the slept cycles in one call: a stall to
+    /// [`OooCore::skip_stalled`], a compute span to one
+    /// [`OooCore::advance_compute`].
+    fn settle(&mut self, i: usize, c: u64) {
+        let ratio = self.cfg.timing.cpu_ratio as u64;
+        match std::mem::replace(&mut self.sleep[i], Sleep::Awake) {
+            Sleep::Awake => {}
+            Sleep::Stalled { since, .. } => {
+                self.cores[i].skip_stalled((c - since) * ratio, c * ratio)
+            }
+            Sleep::Compute { since, until } => {
+                debug_assert!(c <= until, "compute sleep settled past its wake cycle");
+                self.cores[i].advance_compute(since * ratio, (c - since) * ratio);
+                self.fp_advanced += (c - since) * ratio;
+            }
+        }
+    }
+
+    /// Core `i`'s statistics at the current cycle, its open sleep
+    /// included, without settling it.
+    fn projected_stats(&self, i: usize) -> fsmc_cpu::CoreStats {
+        let mut stats = *self.cores[i].stats();
+        let (ratio, now) = (self.cfg.timing.cpu_ratio as u64, self.dram_cycle);
+        match self.sleep[i] {
+            Sleep::Awake => return stats,
+            Sleep::Stalled { since, .. } => stats.stall_cycles += (now - since) * ratio,
+            Sleep::Compute { since, .. } => {
+                stats.instructions_retired += (now - since) * ratio * self.cfg.core.width as u64
+            }
+        }
+        stats.cpu_cycles = stats.cpu_cycles.max(now * ratio);
+        stats
+    }
+
     /// Event-driven time skipping: jumps `dram_cycle` forward over a
-    /// span in which *nothing observable can happen*, charging each core
-    /// the stall cycles it would have accumulated stepping through it.
+    /// span in which *nothing observable can happen*. Cores are not
+    /// charged here: every core sleeps through the span, and its sleep
+    /// record carries the charge to its next [`System::settle`].
     ///
     /// Called after [`System::step`]; `limit` is the run loop's own
     /// bound (never skip past the end of the run), `health_checked`
     /// says whether the caller runs [`System::health_check`] per step
-    /// (and therefore whether the watchdog clock is live).
+    /// (and therefore whether the watchdog clock is live), and `bucket`
+    /// is a `(core, instructions)` count the span must not carry that
+    /// core across ([`System::run_profile`]'s next bucket boundary).
     ///
     /// The jump target is the minimum of every source of future events:
     ///
     /// * the controller's [`MemoryController::next_event`] lower bound
     ///   (sound by contract: `tick` is a no-op before it);
     /// * the earliest staged delivery (nothing can retire before it);
-    /// * each core's wake-up cycle — any core still executing
-    ///   ([`CoreIdle::Active`]) vetoes the skip entirely, a core
-    ///   blocked on memory imposes no bound, and a core draining a
-    ///   fixed-latency instruction wakes at its retire cycle;
+    /// * each core's wake cycle — an awake core vetoes the skip, a
+    ///   sleeping one bounds the span by its `until` (a stall on memory
+    ///   or a detached core by nothing);
     /// * the monitor's next wall-clock deadline poll (a skipped poll
     ///   would latch a breach at a different cycle);
     /// * the watchdog's trigger point, so a starved run still aborts at
     ///   the exact per-cycle-identical cycle.
     ///
-    /// Skipped DRAM cycles are provably stall-only for every core, so
-    /// bulk-charging `stall_cycles`/`cpu_cycles` reproduces per-cycle
-    /// statistics bit for bit ([`OooCore::skip_stalled`]).
-    ///
-    /// When every core is stalled but the controller is hot (no cached
+    /// When every core sleeps but the controller is hot (no cached
     /// no-op bound), the span is handed to [`System::batch_ticks`]
     /// instead: the ticks still run, only the per-step core and delivery
     /// machinery is dropped.
-    fn skip_ahead(&mut self, limit: u64, health_checked: bool) {
+    fn skip_ahead(&mut self, limit: u64, health_checked: bool, bucket: Option<(usize, u64)>) {
         if !self.fastpath {
             return;
         }
 
         let now = self.dram_cycle;
         debug_assert!(now > 0, "skip_ahead runs only after a step");
-        let ratio = self.cfg.timing.cpu_ratio as u64;
         let mut target = limit;
         // A skipped span must not cross a reconfiguration point: event
         // promotion and boundary adoption happen in `step`, so both the
@@ -879,18 +963,25 @@ impl System {
         if target <= now {
             return;
         }
-        // Cheapest veto next: an attached core doing real work next
-        // cycle, or waking before any skip could start, ends the attempt
-        // before the controller scan is even paid for. Detached cores
-        // are bulk-charged like stalled ones and never veto.
-        for (i, core) in self.cores.iter().enumerate() {
-            if !self.attached[i] {
-                continue;
+        // Cheapest veto next: an awake core ends the attempt before the
+        // controller scan is even paid for.
+        for sleep in &self.sleep {
+            match *sleep {
+                Sleep::Awake => return,
+                Sleep::Stalled { until, .. } | Sleep::Compute { until, .. } => {
+                    target = target.min(until)
+                }
             }
-            match core.idle_until() {
-                CoreIdle::Active => return,
-                CoreIdle::BlockedOnMemory => {}
-                CoreIdle::WakeAt(retire_at) => target = target.min(retire_at / ratio),
+        }
+        if let Some((i, instrs)) = bucket {
+            if let Sleep::Compute { since, .. } = self.sleep[i] {
+                // The watched core retires `ratio·width` instructions per
+                // slept DRAM cycle. The caller looks at the count after
+                // each step, so stop one cycle short of where it reaches
+                // `instrs`: the step there lands on the crossing cycle.
+                let per_cycle = self.cfg.timing.cpu_ratio as u64 * self.cfg.core.width as u64;
+                let left = instrs - self.cores[i].stats().instructions_retired;
+                target = target.min(since + left.div_ceil(per_cycle) - 1);
             }
         }
         if target <= now {
@@ -917,15 +1008,12 @@ impl System {
         // so the controller is hot and a fresh `next_event` scan would
         // bound the skip at about one cycle, costing as much as the
         // tick it saves — grind the controller alone instead: the cores
-        // are provably stalled to `target`, so their per-cycle stepping
-        // machinery can be dropped even though the ticks cannot.
+        // sleep to `target`, so their per-cycle stepping machinery can be
+        // dropped even though the ticks cannot.
         if self.mc_next_tick > now {
             let target = target.min(self.mc_next_tick);
             if target <= now {
                 return;
-            }
-            for core in &mut self.cores {
-                core.skip_stalled((target - now) * ratio, target * ratio);
             }
             self.fp_skipped += target - now;
             self.dram_cycle = target;
@@ -942,13 +1030,13 @@ impl System {
         }
     }
 
-    /// Controller-only execution over a span in which every core is
-    /// provably stalled but the controller itself is mid-burst: runs
-    /// the same ticks per-cycle stepping would (eliding proven no-op
-    /// ticks along the way) without the per-step core-classification
-    /// and delivery machinery, then bulk-charges the cores once, like a
-    /// skip. Stops at `until`, or earlier as soon as a tick produces a
-    /// completion due inside the span (its delivery could wake a core).
+    /// Controller-only execution over a span in which every core sleeps
+    /// but the controller itself is mid-burst: runs the same ticks
+    /// per-cycle stepping would (eliding proven no-op ticks along the
+    /// way) without the per-step core and delivery machinery; the sleep
+    /// records carry the cores' charge, like a skip. Stops at `until`,
+    /// or earlier as soon as a tick produces a completion due inside the
+    /// span (its delivery could wake a core).
     /// Observationally identical to stepping: the same ticks run at the
     /// same cycles, completions are staged with the same sequence
     /// numbers, and the monitor drains after every real tick.
@@ -994,10 +1082,12 @@ impl System {
             let quiet = self.mc.device().last_issue_at() != Some(c);
             for completion in buf.drain(..) {
                 if completion.finish <= c {
-                    // Same-cycle data (impossible for real CAS timing,
-                    // but mirror `step` exactly): deliver now and stop —
-                    // a core may have woken.
-                    self.deliver(completion);
+                    // Same-cycle data (impossible for real CAS timing):
+                    // deliver now and stop — a core may have woken. The
+                    // span has run this cycle, so a woken core is
+                    // charged stalled through it and stepped from the
+                    // next one.
+                    self.deliver(completion, c + 1);
                     until = c + 1;
                 } else {
                     until = until.min(completion.finish);
@@ -1032,10 +1122,6 @@ impl System {
             c += 1;
         }
         self.completion_buf = buf;
-        let ratio = self.cfg.timing.cpu_ratio as u64;
-        for core in &mut self.cores {
-            core.skip_stalled((c - start) * ratio, c * ratio);
-        }
         self.fp_skipped += c - start;
         self.dram_cycle = c;
         if c > start {
@@ -1082,7 +1168,9 @@ impl System {
         self.monitor_buf = cmds;
     }
 
-    fn deliver(&mut self, completion: Completion) {
+    /// Hands a completion to its producer. A demand read wakes the core
+    /// it returns to, settling its sleep at DRAM cycle `at`.
+    fn deliver(&mut self, completion: Completion, at: u64) {
         let txn = completion.txn;
         if txn.is_write {
             // The write has been transmitted: close its forwarding window.
@@ -1117,6 +1205,7 @@ impl System {
                 if let Some(pos) = self.txn_meta.iter().position(|&(id, _, _)| id == txn.id) {
                     let (_, core, local) = self.txn_meta.swap_remove(pos);
                     let core_idx = core as usize;
+                    self.settle(core_idx, at);
                     for tag in self.mshrs[core_idx].complete(local) {
                         self.cores[core_idx].complete_read(tag);
                     }
@@ -1145,7 +1234,7 @@ impl System {
             policy,
             pending_writes,
             forwarded_reads,
-            core_active,
+            sleep,
             mc_next_tick,
             trace,
             obs_metrics,
@@ -1154,7 +1243,7 @@ impl System {
         let obs_on = trace.is_some() || obs_metrics.is_some();
         let geom = cfg.geometry;
         for (i, core) in cores.iter_mut().enumerate() {
-            if !core_active[i] {
+            if sleep[i] != Sleep::Awake {
                 continue;
             }
             let domain = DomainId(i as u8);
@@ -1246,7 +1335,7 @@ impl System {
         let end = self.dram_cycle + cycles;
         while self.dram_cycle < end {
             self.step();
-            self.skip_ahead(end, false);
+            self.skip_ahead(end, false, None);
         }
         self.stats()
     }
@@ -1267,7 +1356,7 @@ impl System {
         while self.dram_cycle < end {
             self.step();
             self.health_check()?;
-            self.skip_ahead(end, true);
+            self.skip_ahead(end, true, None);
         }
         Ok(self.stats())
     }
@@ -1331,7 +1420,7 @@ impl System {
         while self.reads_completed < reads && self.dram_cycle < max_cycles {
             self.step();
             if self.reads_completed < reads {
-                self.skip_ahead(max_cycles, false);
+                self.skip_ahead(max_cycles, false, None);
             }
         }
         self.stats()
@@ -1347,15 +1436,15 @@ impl System {
         while boundaries.len() < buckets && self.dram_cycle < hard_stop {
             self.step();
             while boundaries.len() < buckets
-                && self.cores[core_idx].stats().instructions_retired >= next_target
+                && self.projected_stats(core_idx).instructions_retired >= next_target
             {
                 boundaries.push(self.dram_cycle * self.cfg.timing.cpu_ratio as u64);
                 next_target += bucket_instrs;
             }
             if boundaries.len() < buckets {
-                // Skips retire nothing (every core is stalled), so no
-                // bucket boundary can fall inside a skipped span.
-                self.skip_ahead(hard_stop, false);
+                // A skip may carry the profiled core through a compute
+                // sleep, so it stops where the next boundary falls.
+                self.skip_ahead(hard_stop, false, Some((core_idx, next_target)));
             }
         }
         boundaries
@@ -1382,13 +1471,13 @@ impl System {
             self.step();
             self.health_check()?;
             while boundaries.len() < buckets
-                && self.cores[core_idx].stats().instructions_retired >= next_target
+                && self.projected_stats(core_idx).instructions_retired >= next_target
             {
                 boundaries.push(self.dram_cycle * self.cfg.timing.cpu_ratio as u64);
                 next_target += bucket_instrs;
             }
             if boundaries.len() < buckets {
-                self.skip_ahead(hard_stop, true);
+                self.skip_ahead(hard_stop, true, Some((core_idx, next_target)));
             }
         }
         Ok(boundaries)
@@ -1407,7 +1496,7 @@ impl System {
 
     /// Per-core statistics snapshot without finalising the run.
     pub fn core_stats(&self, core: usize) -> fsmc_cpu::CoreStats {
-        *self.cores[core].stats()
+        self.projected_stats(core)
     }
 
     /// Current statistics snapshot (also finalises device counters).
@@ -1417,7 +1506,7 @@ impl System {
         let energy = EnergyModel::new(PowerParams::ddr3_4gb())
             .evaluate(&counters, self.mc.stats().boosted_row_hits);
         SystemStats {
-            cores: self.cores.iter().map(|c| *c.stats()).collect(),
+            cores: (0..self.cores.len()).map(|i| self.projected_stats(i)).collect(),
             mc: self.mc.stats().clone(),
             energy,
             dram_cycles: self.dram_cycle,

@@ -157,36 +157,115 @@ fn fast_path_preserves_execution_profiles_and_read_runs() {
     }
 }
 
-/// The core model's bulk compute advance is exact. On the covert set-up
-/// (probe receiver, intensity sender, idle co-runners) and on mix2, the
-/// statistics match per-cycle stepping, the advance runs on the fast
-/// path, and it never runs with the fast path off. The generations'
-/// CPU-to-DRAM clock ratios (4, 4, 2, 3) set how many core cycles one
-/// advance covers.
+/// The covert set-up of the leak harness: a probe receiver, an
+/// intensity sender and idle co-runners, which compute-sleep almost
+/// throughout.
+fn covert_system(cfg: &SystemConfig) -> System {
+    let (sender, _) = Protocol::Intensity.build(&default_secret());
+    let mut traces: Vec<Box<dyn TraceSource>> = vec![Box::new(ProbeTrace::new(20)), sender];
+    traces.extend((2..cfg.cores).map(|_| Box::new(IdleTrace) as Box<dyn TraceSource>));
+    System::new(cfg, traces)
+}
+
+/// The core sleep record is exact. On the covert set-up and on mix2,
+/// `core_stats` after every `step()` — the leak harness's observation
+/// tap, which reads it mid-sleep — matches per-cycle stepping for every
+/// core, the compute advance runs on the fast path, and it never runs
+/// with the fast path off. The generations' CPU-to-DRAM clock ratios
+/// (4, 4, 2, 3) set how many core cycles one slept DRAM cycle covers.
 #[test]
 fn compute_advance_is_bit_identical_and_covers_compute_phases() {
     for device in DeviceGeneration::all() {
         for kind in [K::Baseline, K::FsRankPartitioned] {
             let cfg = SystemConfig::for_device(device, kind, 8);
-            let covert = || {
-                let (sender, _) = Protocol::Intensity.build(&default_secret());
-                let mut traces: Vec<Box<dyn TraceSource>> =
-                    vec![Box::new(ProbeTrace::new(20)), sender];
-                traces.extend((2..cfg.cores).map(|_| Box::new(IdleTrace) as Box<dyn TraceSource>));
-                System::new(&cfg, traces)
-            };
+            let covert = || covert_system(&cfg);
             let mix2 = || System::from_mix(&cfg, &WorkloadMix::mix2(), 3);
             let setups: [(&str, &dyn Fn() -> System); 2] = [("covert", &covert), ("mix2", &mix2)];
             for (name, build) in setups {
                 let mut fast = build();
                 let mut slow = build();
                 slow.disable_fastpath();
-                let (f, s) = (fast.run_cycles(10_000), slow.run_cycles(10_000));
+                for cycle in 0..6_000 {
+                    fast.step();
+                    slow.step();
+                    for i in 0..cfg.cores as usize {
+                        assert_eq!(
+                            fast.core_stats(i),
+                            slow.core_stats(i),
+                            "{device} {kind} {name}: core {i} after cycle {cycle}"
+                        );
+                    }
+                }
+                let (f, s) = (fast.run_cycles(4_000), slow.run_cycles(4_000));
                 assert_eq!(format!("{f:?}"), format!("{s:?}"), "{device} {kind} {name}: stats");
                 assert!(fast.advanced_core_cycles() > 0, "{device} {kind} {name}: no advance");
                 assert_eq!(slow.advanced_core_cycles(), 0, "{device} {kind} {name}");
             }
         }
+    }
+}
+
+/// A run split into uneven chunks equals one run: sleeps and skips
+/// straddle the chunk ends, where every skip stops.
+#[test]
+fn chunked_runs_match_one_run() {
+    let chunks = [1, 7, 500, 3, 1_024, 2, 2_463, 1, 5_999];
+    let total: u64 = chunks.iter().sum();
+    for kind in [K::FsRankPartitioned, K::Baseline] {
+        let cfg = SystemConfig::paper_default(kind);
+        let builds: [(&str, &dyn Fn() -> System); 2] = [
+            ("covert", &|| covert_system(&cfg)),
+            ("mix2", &|| System::from_mix(&cfg, &WorkloadMix::mix2(), 4)),
+        ];
+        for (name, build) in builds {
+            let mut whole = build();
+            let one = whole.run_cycles(total);
+            let mut split = build();
+            let last = chunks.map(|n| split.run_cycles(n)).into_iter().last();
+            let last = last.expect("chunks are non-empty");
+            assert_eq!(format!("{one:?}"), format!("{last:?}"), "{kind} {name}: stats");
+            assert_eq!(whole.dram_cycle(), split.dram_cycle(), "{kind} {name}");
+        }
+    }
+}
+
+/// Churn that lands on a compute-sleeping tenant: an idle co-runner
+/// leaves while it computes, and another is detached by a `DomainJoin`
+/// scheduled mid-run (the join detaches its core at once) and joins at
+/// the next boundary. Both paths give the same statistics. A detached
+/// core sleeps on both paths, so two checks do not lean on the
+/// per-cycle one: every core's clock covers every DRAM cycle, and no
+/// core's counters ever fall.
+#[test]
+fn churn_on_a_compute_sleeping_tenant_is_bit_identical() {
+    for kind in [K::FsRankPartitioned, K::FsBankPartitioned] {
+        let cfg = SystemConfig::paper_default(kind);
+        let ratio = cfg.timing.cpu_ratio as u64;
+        let mut fast = covert_system(&cfg);
+        let mut slow = covert_system(&cfg);
+        slow.disable_fastpath();
+        for sys in [&mut fast, &mut slow] {
+            sys.schedule_reconfig(2_500, ReconfigEvent::DomainLeave { domain: 3 });
+            sys.try_run_cycles(6_001).expect("clean run");
+            sys.schedule_reconfig(8_000, ReconfigEvent::DomainJoin { domain: 4 });
+        }
+        let mut last = fast.try_run_cycles(0).expect("clean fast run").cores;
+        for _ in 0..80 {
+            let sf = fast.try_run_cycles(97).expect("clean fast run");
+            let ss = slow.try_run_cycles(97).expect("clean slow run");
+            assert_eq!(format!("{sf:?}"), format!("{ss:?}"), "{kind}: stats diverge");
+            for (i, (now, before)) in sf.cores.iter().zip(&last).enumerate() {
+                assert_eq!(now.cpu_cycles, fast.dram_cycle() * ratio, "{kind}: core {i} clock");
+                assert!(
+                    now.instructions_retired >= before.instructions_retired
+                        && now.stall_cycles >= before.stall_cycles,
+                    "{kind}: core {i} counters fell"
+                );
+            }
+            last = sf.cores;
+        }
+        assert!(!fast.is_attached(3) && fast.is_attached(4), "{kind}: churn adopted");
+        assert!(fast.advanced_core_cycles() > 0, "{kind}: idle tenants compute-sleep");
     }
 }
 
