@@ -60,7 +60,7 @@ fn bench_next_event(c: &mut Criterion) {
 }
 
 /// A device warmed into a loaded steady state — open rows on every
-/// rank and in-flight read bursts — so the SoA probes below scan
+/// rank and in-flight read bursts — so the CAS apply below updates
 /// realistic ready-cycle tables rather than the all-zero reset state.
 fn warmed_device() -> (DramDevice, u64) {
     let mut dev = DramDevice::new(Geometry::paper_default(), TimingParams::ddr3_1600());
@@ -81,30 +81,11 @@ fn warmed_device() -> (DramDevice, u64) {
     (dev, cycle)
 }
 
-/// The two SoA hot paths in isolation: the flat-table event-bound scan
-/// (the fast path's marginal cost per elided span) and a CAS apply
-/// (the dominant mutation on saturated runs — rank/bank ready-cycle
-/// stores plus the data-bus window push).
+/// The dominant device mutation on saturated runs in isolation: a CAS
+/// apply (rank/bank ready-cycle stores plus the data-bus window push).
+/// The FR-FCFS quiet-tick bound is measured whole by `next_event/*`.
 fn bench_soa_device(c: &mut Criterion) {
     let (dev, now) = warmed_device();
-    let bpr = dev.geometry().banks_per_rank() as u32;
-    // Masks mirror what the baseline scheduler builds: CAS and PRE bits
-    // on every open bank, ACT bits on the closed ones.
-    let (mut cas, mut pre, mut act) = (0u128, 0u128, 0u128);
-    for r in 0..dev.geometry().ranks_per_channel() {
-        for b in 0..dev.geometry().banks_per_rank() {
-            let bit = 1u128 << (r as u32 * bpr + b as u32);
-            if dev.open_row(RankId(r), BankId(b)).is_some() {
-                cas |= bit;
-                pre |= bit;
-            } else {
-                act |= bit;
-            }
-        }
-    }
-    c.bench_function("soa/next_event_bound", |b| {
-        b.iter(|| black_box(dev.next_event_bound(black_box(now), cas, cas, pre, act)))
-    });
     let target = RankId(1);
     let row = dev.open_row(target, BankId(0)).expect("warmup opened rank 1 bank 0");
     let cmd = Command::read(target, BankId(0), row, ColId(0));

@@ -29,15 +29,19 @@ enum Class {
 
 /// The candidate index entry of one queued transaction: its bank, its
 /// class, and the cycle at which the rank and bank legality floors of
-/// the class's next command clear. Floors and row state move only when
-/// this controller issues a command to the transaction's rank, so a
-/// slot re-derived after every such command always equals a fresh
-/// [`Slot::of`] — the scheduler's passes read it instead of
-/// re-classifying every queued entry on every tick.
+/// the class's next command clear — for a row hit, the bank group's
+/// tCCD_L floor too. Floors and row state move only when this
+/// controller issues a command to the transaction's rank, so a slot
+/// re-derived after every such command always equals a fresh
+/// [`Slot::of`] — the scheduler's passes and its `next_event` bound
+/// read it instead of re-classifying every queued entry on every tick.
 ///
 /// A floor past `now` makes `can_issue` fail for that class, so
 /// `ready <= now` is a sound prefilter: the passes attempt the same
-/// candidates, in the same order, with identical outcomes.
+/// candidates, in the same order, with identical outcomes. For a row
+/// command (ACT, PRE) `ready` is exactly the rank- and bank-level part
+/// of [`DramDevice::next_legal_at`]; a CAS additionally waits for the
+/// data bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
     ready: Cycle,
@@ -47,17 +51,32 @@ struct Slot {
     class: Class,
 }
 
+/// A rank's legality floors `(precharge, activate, read, write)`, from
+/// [`DramDevice::rank_floor_parts`].
+type Floors = (Cycle, Cycle, Cycle, Cycle);
+
 impl Slot {
     /// Classifies `txn` against the device's current row state and
     /// floors.
     fn of(device: &DramDevice, txn: &Transaction) -> Slot {
+        Slot::with_floors(device, device.rank_floor_parts(txn.loc.rank), txn)
+    }
+
+    /// [`Slot::of`] with the rank floors of `txn`'s rank already read,
+    /// so a re-derivation of one rank reads them once.
+    fn with_floors(
+        device: &DramDevice,
+        (pre_f, act_f, rd_f, wr_f): Floors,
+        txn: &Transaction,
+    ) -> Slot {
         let l = txn.loc;
         let b = l.bank.0 as usize;
         let banks = device.banks_of(l.rank);
-        let (pre_f, act_f, rd_f, wr_f) = device.rank_floor_parts(l.rank);
         let (class, ready) = match banks.open_rows_slice()[b] {
             open if open == l.row.0 => {
-                (Class::Hit, if txn.is_write { wr_f } else { rd_f }.max(banks.next_cas_slice()[b]))
+                let rank_f = if txn.is_write { wr_f } else { rd_f };
+                let group_f = device.cas_group_floor(l.rank, l.bank, !txn.is_write);
+                (Class::Hit, rank_f.max(group_f).max(banks.next_cas_slice()[b]))
             }
             NO_ROW => (Class::Closed, act_f.max(banks.next_activate_slice()[b])),
             _ => (Class::Conflict, pre_f.max(banks.next_precharge_slice()[b])),
@@ -123,6 +142,16 @@ pub struct BaselineScheduler {
     /// FR-FCFS guard that keeps a conflict from precharging a row some
     /// pending transaction still hits.
     pending_hits: Vec<u16>,
+    /// Per rank, the minimum `ready` over queued row hits, `[reads,
+    /// writes]` (indexed by `is_write`). Kept with the slots: set on
+    /// push, re-derived with the rank after every command.
+    hit_ready: Vec<[Cycle; 2]>,
+    /// Per rank, `[reads, writes]`: a cycle before which the data bus
+    /// admits no CAS of that direction on the rank — the last
+    /// [`DramDevice::next_data_slot`] answer. New bursts only add
+    /// conflicts, so the cycles before it stay blocked; pass 1 probes
+    /// the bus again only once `now` reaches it.
+    bus_ready: Vec<[Cycle; 2]>,
     read_capacity: usize,
     write_capacity: usize,
     drain_hi: usize,
@@ -139,6 +168,11 @@ pub struct BaselineScheduler {
     /// while it holds, so both `tick_into` and `next_event` answer in
     /// O(1) instead of re-reading the index per idle cycle.
     idle_until: Cycle,
+    /// Candidates that passed the slot and bus prefilters but failed
+    /// `can_issue`. The prefilters cover every rule of that class, so
+    /// the tests hold this at zero: one validation per issued command.
+    #[cfg(test)]
+    prefilter_misses: u64,
 }
 
 impl BaselineScheduler {
@@ -147,7 +181,8 @@ impl BaselineScheduler {
     pub fn new(geom: Geometry, t: TimingParams, domains: u8, prefetch: bool) -> Self {
         let device = DramDevice::new(geom, t);
         let refresh = RefreshManager::new(&t, geom.ranks_per_channel());
-        let banks = geom.ranks_per_channel() as usize * geom.banks_per_rank() as usize;
+        let ranks = geom.ranks_per_channel() as usize;
+        let banks = ranks * geom.banks_per_rank() as usize;
         BaselineScheduler {
             device,
             t,
@@ -157,6 +192,8 @@ impl BaselineScheduler {
             reads: Queue::default(),
             writes: Queue::default(),
             pending_hits: vec![0; banks],
+            hit_ready: vec![[Cycle::MAX; 2]; ranks],
+            bus_ready: vec![[0; 2]; ranks],
             read_capacity: 64,
             write_capacity: 64,
             drain_hi: 40,
@@ -166,6 +203,8 @@ impl BaselineScheduler {
             next_prefetch_id: 1 << 62,
             domains,
             idle_until: 0,
+            #[cfg(test)]
+            prefilter_misses: 0,
         }
     }
 
@@ -206,28 +245,42 @@ impl BaselineScheduler {
         let slot = Slot::of(&self.device, &txn);
         if slot.class == Class::Hit {
             self.pending_hits[slot.gbi as usize] += 1;
+            let best = &mut self.hit_ready[slot.rank as usize][txn.is_write as usize];
+            *best = (*best).min(slot.ready);
         }
         let queue = if txn.is_write { &mut self.writes } else { &mut self.reads };
         queue.push(slot, txn);
     }
 
-    /// Issues `cmd`, then re-derives the slots and bank hit counts of
-    /// its rank — the only ones a command can move. (A CAS removes its
-    /// transaction first; the recount drops its hit.)
+    /// Issues `cmd`, then re-derives the slots, bank hit counts and hit
+    /// minima of its rank — the only ones a command can move. (A CAS
+    /// removes its transaction first; the recount drops its hit.)
     fn issue(&mut self, cmd: &Command, now: Cycle) -> Result<IssueOutcome, Violation> {
         let out = self.device.issue(cmd, now)?;
         let bpr = self.device.geometry().banks_per_rank() as usize;
         let rank = cmd.rank.0;
+        let floors = self.device.rank_floor_parts(cmd.rank);
         self.pending_hits[rank as usize * bpr..][..bpr].fill(0);
-        for q in [&mut self.reads, &mut self.writes] {
+        for (dir, q) in [&mut self.reads, &mut self.writes].into_iter().enumerate() {
+            let mut best = Cycle::MAX;
             for (p, s) in q.entries.iter().zip(q.slots.iter_mut()) {
                 if s.rank == rank {
-                    *s = Slot::of(&self.device, &p.txn);
-                    self.pending_hits[s.gbi as usize] += (s.class == Class::Hit) as u16;
+                    *s = Slot::with_floors(&self.device, floors, &p.txn);
+                    if s.class == Class::Hit {
+                        self.pending_hits[s.gbi as usize] += 1;
+                        best = best.min(s.ready);
+                    }
                 }
             }
+            self.hit_ready[rank as usize][dir] = best;
         }
         Ok(out)
+    }
+
+    /// The FR-FCFS precharge guard: a conflict waits while some queued
+    /// transaction still hits its bank's open row.
+    fn guarded(&self, s: &Slot) -> bool {
+        s.class == Class::Conflict && self.pending_hits[s.gbi as usize] != 0
     }
 
     /// During the pre-refresh quiesce, close banks that are still open so
@@ -248,24 +301,6 @@ impl BaselineScheduler {
         }
     }
 
-    /// Per-bank class masks `(read_hit, write_hit, conflict, closed)`
-    /// over both queues, for [`DramDevice::next_event_bound`]; `bit =
-    /// gbi`, so only geometries of at most 128 banks have them.
-    fn class_masks(&self) -> (u128, u128, u128, u128) {
-        let (mut read_hit, mut write_hit, mut conflict, mut closed) = (0, 0, 0, 0);
-        for (q, hit) in [(&self.reads, &mut read_hit), (&self.writes, &mut write_hit)] {
-            for s in &q.slots {
-                let bit = 1u128 << s.gbi;
-                match s.class {
-                    Class::Hit => *hit |= bit,
-                    Class::Closed => closed |= bit,
-                    Class::Conflict => conflict |= bit,
-                }
-            }
-        }
-        (read_hit, write_hit, conflict, closed)
-    }
-
     /// Attempts FR-FCFS issue from one queue; returns a completion if a
     /// CAS retired a transaction. At most one command is issued.
     fn try_issue(&mut self, is_write_queue: bool, now: Cycle) -> (bool, Option<Completion>) {
@@ -273,29 +308,39 @@ impl BaselineScheduler {
         // clear the rank/bank floors mostly fail on the data bus
         // (cross-rank tRTRS gaps around in-flight bursts). That verdict
         // depends only on (direction, rank, cycle) — and one queue holds
-        // one direction — so probe it once per rank and skip the full
-        // validation for every candidate behind a blocked bus.
+        // one direction — so the rank's bus-ready cycle answers it, and
+        // the bus is probed again only once `now` reaches that cycle.
+        // The same sweep remembers pass 2's first candidate.
+        let dir = is_write_queue as usize;
         let queue = if is_write_queue { &self.writes } else { &self.reads };
-        let (mut probed, mut blocked) = (0u128, 0u128);
         let mut cas_idx = None;
+        let mut row_from = queue.len();
         for (i, s) in queue.slots.iter().enumerate() {
-            if s.class != Class::Hit || s.ready > now {
+            if s.ready > now {
                 continue;
             }
-            let bit = 1u128 << s.rank;
-            if probed & bit == 0 {
-                probed |= bit;
-                if !self.device.data_bus_admits(!is_write_queue, RankId(s.rank), now) {
-                    blocked |= bit;
+            if s.class != Class::Hit {
+                if row_from == queue.len() && !self.guarded(s) {
+                    row_from = i;
                 }
+                continue;
             }
-            if blocked & bit != 0 {
+            let bus = &mut self.bus_ready[s.rank as usize][dir];
+            if *bus > now {
+                continue;
+            }
+            *bus = self.device.next_data_slot(!is_write_queue, RankId(s.rank), now);
+            if *bus > now {
                 continue;
             }
             let cas = s.command(&queue.entries[i].txn);
             if self.device.can_issue(&cas, now).is_ok() {
                 cas_idx = Some((i, cas));
                 break;
+            }
+            #[cfg(test)]
+            {
+                self.prefilter_misses += 1;
             }
         }
         if let Some((i, cas)) = cas_idx {
@@ -318,17 +363,26 @@ impl BaselineScheduler {
         }
 
         // Pass 2: oldest floor-ready transaction whose next command (ACT
-        // to a closed bank, PRE on a conflict) can issue. Never
-        // precharge a row some pending transaction still hits.
+        // to a closed bank, PRE on a conflict) can issue, resuming where
+        // pass 1 saw the first one. Never precharge a row some pending
+        // transaction still hits.
         let queue = if is_write_queue { &self.writes } else { &self.reads };
-        let next = queue.slots.iter().enumerate().find_map(|(i, s)| {
-            let guarded = s.class == Class::Conflict && self.pending_hits[s.gbi as usize] != 0;
-            if s.class == Class::Hit || s.ready > now || guarded {
-                return None;
+        let mut next = None;
+        for i in row_from..queue.len() {
+            let s = &queue.slots[i];
+            if s.class == Class::Hit || s.ready > now || self.guarded(s) {
+                continue;
             }
             let cmd = s.command(&queue.entries[i].txn);
-            self.device.can_issue(&cmd, now).is_ok().then_some((i, cmd))
-        });
+            if self.device.can_issue(&cmd, now).is_ok() {
+                next = Some((i, cmd));
+                break;
+            }
+            #[cfg(test)]
+            {
+                self.prefilter_misses += 1;
+            }
+        }
         let Some((i, cmd)) = next else { return (false, None) };
         self.issue(&cmd, now).expect("validated row command");
         if cmd.kind == CommandKind::Activate {
@@ -338,19 +392,113 @@ impl BaselineScheduler {
         (true, None)
     }
 
-    /// Asserts that every slot equals a fresh classification of its
-    /// transaction — the index invariant.
-    #[cfg(test)]
-    fn assert_index_fresh(&self) {
-        let mut hits = vec![0u16; self.pending_hits.len()];
+    /// The quiet-tick bound of [`MemoryController::next_event`] without
+    /// its cached shortcut, with the FR-FCFS candidates bounded by
+    /// `candidates(self, now + 1)`.
+    fn quiet_bound(&self, now: Cycle, candidates: fn(&Self, Cycle) -> Cycle) -> Cycle {
+        // The prefetcher can inject new work on any tick with headroom.
+        if self.prefetchers.iter().any(|p| p.has_prefetch()) {
+            return now + 1;
+        }
+        // Wall-clock refresh: the staggered REF commands themselves, and
+        // (outside a window) the quiesce onset where ACTs stop and open
+        // rows get swept closed.
+        let mut next = self.refresh.next_command_cycle(now);
+        if self.refresh.in_window(now + 1) {
+            // Inside the window nothing but REFs issue; the first
+            // transaction command can come no earlier than the window end.
+            if let Some((_, end)) = self.refresh.next_window(now + 1) {
+                next = next.min(end);
+            }
+            return next.max(now + 1);
+        }
+        next = next.min(self.refresh.next_blocked_cycle(now + 1));
+        next.min(candidates(self, now + 1)).max(now + 1)
+    }
+
+    /// The first cycle `>= from` at which some queued transaction's next
+    /// command could become device-legal and pass the scheduler's own
+    /// guards. Row state and queue contents only change when a command
+    /// issues (the simulator lowers the cached bound via
+    /// `enqueue_event_hint` on every enqueue), so no tick before it can
+    /// issue anything. A precharge deferred because pending row hits
+    /// still target the open row is excluded: it stays deferred until
+    /// one of those hits' CAS — a candidate in its own right — issues
+    /// first.
+    ///
+    /// Everything but the shared buses is already in the slot index. A
+    /// row command carries no data, so an ACT or unguarded PRE slot is
+    /// legal from `max(ready, from)`. A CAS also needs a data-bus slot,
+    /// which is one monotone function per (rank, direction), so the
+    /// rank's minimum hit `ready` achieves that pair's minimum: one bus
+    /// scan per pair, and only when the pair could still lower the
+    /// bound. The command bus admits one command per cycle; that bump
+    /// commutes with the minimum, so it applies once, at the end.
+    fn candidate_bound(&self, from: Cycle) -> Cycle {
+        let mut next = Cycle::MAX;
         for q in [&self.reads, &self.writes] {
+            for s in &q.slots {
+                if s.class != Class::Hit && !self.guarded(s) {
+                    next = next.min(s.ready);
+                }
+            }
+        }
+        let mut next = next.max(from);
+        for (r, (hit, bus)) in self.hit_ready.iter().zip(&self.bus_ready).enumerate() {
+            for dir in 0..2 {
+                // Every cycle before the bus-ready cycle stays blocked.
+                let at = hit[dir].max(from).max(bus[dir]);
+                if at < next {
+                    let rank = RankId(r as u8);
+                    next = next.min(self.device.next_data_slot(dir == 0, rank, at));
+                }
+            }
+        }
+        self.device.command_bus_free(next)
+    }
+
+    /// The bound [`BaselineScheduler::candidate_bound`] must equal: the
+    /// minimum of [`DramDevice::next_legal_at`] over the next command of
+    /// every queued transaction the precharge guard does not hold back.
+    #[cfg(test)]
+    fn reference_candidate_bound(&self, from: Cycle) -> Cycle {
+        let mut next = Cycle::MAX;
+        for q in [&self.reads, &self.writes] {
+            for (p, s) in q.entries.iter().zip(&q.slots) {
+                if !self.guarded(s) {
+                    next = next.min(self.device.next_legal_at(&s.command(&p.txn), from));
+                }
+            }
+        }
+        next
+    }
+
+    /// Asserts that every slot equals a fresh classification of its
+    /// transaction — the index invariant — and that `next_event` equals
+    /// the per-transaction reference bound.
+    #[cfg(test)]
+    fn assert_index_fresh(&self, now: Cycle) {
+        let mut hits = vec![0u16; self.pending_hits.len()];
+        let mut hit_ready = vec![[Cycle::MAX; 2]; self.hit_ready.len()];
+        for (dir, q) in [&self.reads, &self.writes].into_iter().enumerate() {
             assert_eq!(q.entries.len(), q.slots.len());
             for (p, s) in q.entries.iter().zip(&q.slots) {
                 assert_eq!(*s, Slot::of(&self.device, &p.txn), "stale slot for {:?}", p.txn);
-                hits[s.gbi as usize] += (s.class == Class::Hit) as u16;
+                if s.class == Class::Hit {
+                    hits[s.gbi as usize] += 1;
+                    let best = &mut hit_ready[s.rank as usize][dir];
+                    *best = (*best).min(s.ready);
+                }
             }
         }
         assert_eq!(hits, self.pending_hits, "stale bank hit counts");
+        assert_eq!(hit_ready, self.hit_ready, "stale hit minima");
+        assert_eq!(self.prefilter_misses, 0, "a prefiltered candidate failed validation");
+        assert_eq!(
+            self.next_event(now),
+            self.quiet_bound(now, Self::reference_candidate_bound),
+            "next_event differs from the per-transaction bound at {now}"
+        );
     }
 }
 
@@ -455,72 +603,7 @@ impl MemoryController for BaselineScheduler {
         if now < self.idle_until {
             return self.idle_until;
         }
-        // The prefetcher can inject new work on any tick with headroom.
-        if self.prefetchers.iter().any(|p| p.has_prefetch()) {
-            return now + 1;
-        }
-        // Wall-clock refresh: the staggered REF commands themselves, and
-        // (outside a window) the quiesce onset where ACTs stop and open
-        // rows get swept closed.
-        let mut next = self.refresh.next_command_cycle(now);
-        if self.refresh.in_window(now + 1) {
-            // Inside the window nothing but REFs issue; the first
-            // transaction command can come no earlier than the window end.
-            if let Some((_, end)) = self.refresh.next_window(now + 1) {
-                next = next.min(end);
-            }
-            return next.max(now + 1);
-        }
-        next = next.min(self.refresh.next_blocked_cycle(now + 1));
-        // FR-FCFS candidates: for each pending transaction, the earliest
-        // cycle its next command (CAS, PRE or ACT per current row state)
-        // could become device-legal *and* pass the scheduler's own
-        // guards. Row state and queue contents only change when a
-        // command issues (the simulator lowers the cached bound via
-        // `enqueue_event_hint` on every enqueue), so no tick before the
-        // minimum over all candidates can issue anything — those cycles
-        // are provable no-ops. A precharge
-        // deferred because pending row hits still target the open row is
-        // excluded: it stays deferred until one of those hits' CAS — a
-        // candidate in its own right — issues first.
-        // Candidate legality is row- and column-independent within each
-        // command class (ACT gates on the bank being closed, CAS on the
-        // row already matching, PRE on the bank being open), so the
-        // per-transaction candidate set dedupes to one representative
-        // command per populated (bank, class): the slot index folds into
-        // read-hit / write-hit / conflict / closed bitmasks — they fit a
-        // u128 for any realistic geometry (the paper's is 8 ranks x 8
-        // banks) — then each set bit costs one device probe instead of
-        // one per queued transaction.
-        let geom = self.device.geometry();
-        if geom.ranks_per_channel() as u32 * geom.banks_per_rank() as u32 > 128 {
-            // Geometry too wide for the bitmasks: per-transaction scan.
-            for q in [&self.reads, &self.writes] {
-                for (p, s) in q.entries.iter().zip(&q.slots) {
-                    if s.class == Class::Conflict && self.pending_hits[s.gbi as usize] != 0 {
-                        continue;
-                    }
-                    next = next.min(self.device.next_legal_at(&s.command(&p.txn), now + 1));
-                    if next <= now + 1 {
-                        return now + 1;
-                    }
-                }
-            }
-            return next.max(now + 1);
-        }
-        // One fused device scan evaluates every candidate: a bank with
-        // any pending row hit never precharges (the FR-FCFS guard), so
-        // conflicted banks only contribute a PRE candidate when no hit
-        // shares the bank.
-        let (read_hit, write_hit, conflict, closed) = self.class_masks();
-        next = next.min(self.device.next_event_bound(
-            now + 1,
-            read_hit,
-            write_hit,
-            conflict & !(read_hit | write_hit),
-            closed,
-        ));
-        next.max(now + 1)
+        self.quiet_bound(now, Self::candidate_bound)
     }
 
     fn enqueue_event_hint(&self, txn: &Transaction, now: Cycle) -> Cycle {
@@ -705,7 +788,8 @@ mod tests {
     /// every cycle when `dense`, else only at `next_event` bounds and
     /// arrival cycles (the simulator never skips a cycle at which a core
     /// could enqueue). Checks the slot index against a fresh
-    /// classification after every tick.
+    /// classification, and `next_event` against the per-transaction
+    /// reference bound, after every tick.
     fn drive(
         mc: &mut BaselineScheduler,
         arrivals: &[(Cycle, Transaction)],
@@ -722,7 +806,7 @@ mod tests {
                 ai += 1;
             }
             done.extend(mc.tick(c));
-            mc.assert_index_fresh();
+            mc.assert_index_fresh(c);
             c = if dense {
                 c + 1
             } else {
@@ -772,10 +856,9 @@ mod tests {
     fn next_event_skips_are_sound_under_sustained_load() {
         // A steady mixed read/write stream keeps the queues busy across
         // refresh windows, write-drain flips, row conflicts and tFAW
-        // pressure — exercising the per-transaction earliest-issue bound
-        // rather than the idle wall-clock one. The 16-rank x 16-bank
-        // geometry is too wide for the bound's bank masks and takes its
-        // per-transaction fallback.
+        // pressure — exercising the slot-derived candidate bound rather
+        // than the idle wall-clock one, on the paper's geometry and on a
+        // 16-rank x 16-bank one.
         let t = TimingParams::ddr3_1600();
         for geom in [Geometry::paper_default(), Geometry::new(1, 16, 16, 32768, 128)] {
             let arrivals: Vec<_> = (0..120u64)

@@ -2,7 +2,7 @@
 //!
 //! The hot state is laid out struct-of-arrays: one [`BankArrays`] holds
 //! every bank of a rank as flat, cache-line-friendly vectors of ready
-//! cycles and open-row registers, so the fused event-bound scan, the
+//! cycles and open-row registers, so scheduler classification, the
 //! issue loop, and `TimingChecker`-style probes walk contiguous memory
 //! instead of chasing per-bank structs.
 
@@ -89,15 +89,16 @@ impl BankArrays {
         self.next_precharge[bank]
     }
 
-    /// Flat per-bank CAS readiness — the event-bound scan's inner array.
-    #[inline]
     /// The raw open-row registers ([`NO_ROW`] = precharged), for
     /// schedulers that classify whole queues against row state with
     /// plain array loads instead of per-entry accessor calls.
+    #[inline]
     pub fn open_rows_slice(&self) -> &[u32] {
         &self.open_row
     }
 
+    /// Flat per-bank CAS readiness.
+    #[inline]
     pub fn next_cas_slice(&self) -> &[Cycle] {
         &self.next_cas
     }

@@ -178,14 +178,24 @@ impl DramDevice {
         }
     }
 
-    /// True if the data bus admits a CAS of the given direction on
-    /// `rank` issued at `cycle` — exact against [`DramDevice::can_issue`]'s
+    /// The tCCD_L floor a CAS of the given direction to `rank`/`bank`
+    /// owes its bank group: the one CAS window [`DramDevice::rank_floor_parts`]
+    /// leaves out, because it varies by bank.
+    pub fn cas_group_floor(&self, rank: RankId, bank: BankId, is_read: bool) -> Cycle {
+        self.ranks[rank.0 as usize].cas_group_floor(bank.0 as usize, is_read)
+    }
+
+    /// Earliest cycle `>= from` at which the data bus admits a CAS of the
+    /// given direction on `rank` — exact against [`DramDevice::can_issue`]'s
     /// burst-overlap and tRTRS rules (command-bus and rank/bank windows
-    /// are *not* checked). The answer depends on the command only
-    /// through its rank and direction, so schedulers can memoize one
-    /// probe per (rank, direction) across a whole candidate scan.
-    pub fn data_bus_admits(&self, is_read: bool, rank: RankId, cycle: Cycle) -> bool {
-        self.channel.next_data_slot_for(is_read, rank, cycle, &self.t) == cycle
+    /// are *not* checked). The answer depends on the command only through
+    /// its rank and direction. Scheduled bursts only ever add conflicts
+    /// for later commands (pruning drops only bursts no later command
+    /// can reach), so every cycle in `[from, answer)` that a command can
+    /// still be issued at stays blocked: a scheduler may keep the answer
+    /// as a per-(rank, direction) ready cycle across ticks.
+    pub fn next_data_slot(&self, is_read: bool, rank: RankId, from: Cycle) -> Cycle {
+        self.channel.next_data_slot_for(is_read, rank, from, &self.t)
     }
 
     /// True if any bank on any rank holds an open row. Schedulers use
@@ -344,131 +354,23 @@ impl DramDevice {
     /// commands issue in the meantime: the maximum of every bank- and
     /// rank-level window (tRC, tRCD, tRAS, tRRD, tFAW, CAS turnarounds,
     /// refresh recovery, power-down) and, for CAS commands, the first
-    /// data-bus slot clearing the scheduled bursts and tRTRS gaps.
+    /// data-bus slot clearing the scheduled bursts and tRTRS gaps, then
+    /// the one-command-per-cycle command bus.
     /// `Cycle::MAX` when only another command could ever make `cmd`
     /// legal (wrong row open, rank powered down). Event-driven
     /// schedulers use this to advertise their next possible issue cycle
     /// without scanning.
     pub fn next_legal_at(&self, cmd: &Command, from: Cycle) -> Cycle {
-        self.channel_legal_at(cmd, self.rank_level_next_legal_at(cmd, from))
-    }
-
-    /// The rank- and bank-level component of
-    /// [`DramDevice::next_legal_at`]: the same lower bound *before*
-    /// channel (data-bus, command-bus) constraints apply. Cheap — a
-    /// handful of window comparisons, no data-bus scan.
-    ///
-    /// For a fixed rank and CAS direction, [`DramDevice::channel_legal_at`]
-    /// is one shared monotone function of this value, so a scheduler
-    /// minimising over many same-class candidates can take the minimum
-    /// of this bound across them and pay for a single channel scan:
-    /// the candidate with the smallest pre-channel bound also achieves
-    /// the smallest full legality cycle.
-    pub fn rank_level_next_legal_at(&self, cmd: &Command, from: Cycle) -> Cycle {
-        self.ranks[cmd.rank.0 as usize].next_legal_at(cmd, &self.t).max(from)
-    }
-
-    /// Fused candidate scan for event-driven schedulers: a lower bound
-    /// on the first cycle `>= from` at which *any* command in the given
-    /// candidate classes could pass [`DramDevice::can_issue`], assuming
-    /// no further commands issue in the meantime. Equivalent to taking
-    /// the minimum of [`DramDevice::next_legal_at`] over one
-    /// representative command per set bit, but with direct state access
-    /// and a single data-bus scan per populated (rank, direction) —
-    /// within a class the bank-level term is the only one that varies,
-    /// and the channel completion is one shared monotone function per
-    /// (rank, direction), so each minimum is achieved by the bank with
-    /// the smallest pre-channel bound.
-    ///
-    /// Masks are rank-major per-bank bitmasks
-    /// (`bit = rank * banks_per_rank + bank`; geometries wider than 128
-    /// banks must fall back to per-command [`DramDevice::next_legal_at`])
-    /// and each set bit's class must match the bank's row-buffer state:
-    /// `read_cas`/`write_cas` bits require the target row to be open,
-    /// `pre` bits an open bank, `act` bits a closed bank.
-    pub fn next_event_bound(
-        &self,
-        from: Cycle,
-        read_cas: u128,
-        write_cas: u128,
-        pre: u128,
-        act: u128,
-    ) -> Cycle {
-        let bpr = self.geometry().banks_per_rank() as u32;
-        let width = if bpr >= 128 { u128::MAX } else { (1u128 << bpr) - 1 };
-        let bump = |at: Cycle| if self.last_issue == Some(at) { at + 1 } else { at };
-        let min_over = |mask: u128, f: &dyn Fn(usize) -> Cycle| {
-            let (mut best, mut m) = (Cycle::MAX, mask);
-            while m != 0 {
-                best = best.min(f(m.trailing_zeros() as usize));
-                m &= m - 1;
-            }
-            best
-        };
-        let mut next = Cycle::MAX;
-        for (r, rank) in self.ranks.iter().enumerate() {
-            let shift = r as u32 * bpr;
-            let rd = (read_cas >> shift) & width;
-            let wr = (write_cas >> shift) & width;
-            let pr = (pre >> shift) & width;
-            let ac = (act >> shift) & width;
-            if rd | wr | pr | ac == 0 {
-                continue;
-            }
-            let Some((quiet, act_floor, next_read, next_write)) = rank.event_bound_parts(&self.t)
-            else {
-                continue; // powered down: no candidate class applies
-            };
-            let banks = rank.banks();
-            for (mask, is_read) in [(rd, true), (wr, false)] {
-                if mask == 0 {
-                    continue;
-                }
-                // Per-bank CAS readiness must fold in the bank group's
-                // tCCD_L floor, or grouped parts (DDR4/HBM) would report
-                // a bound below the first legal cycle and the fast path
-                // would diverge from per-cycle stepping. The readiness
-                // array is contiguous (SoA), so this walk stays within
-                // one or two cache lines per rank.
-                let cas = banks.next_cas_slice();
-                let best = min_over(mask, &|b| cas[b].max(rank.cas_group_floor(b, is_read)));
-                let turn = if is_read { next_read } else { next_write };
-                let at = quiet.max(turn).max(best).max(from);
-                if at != Cycle::MAX {
-                    let slot =
-                        self.channel.next_data_slot_for(is_read, RankId(r as u8), at, &self.t);
-                    next = next.min(bump(slot));
-                }
-            }
-            if pr != 0 {
-                let pre_ready = banks.next_precharge_slice();
-                let best = min_over(pr, &|b| pre_ready[b]);
-                next = next.min(bump(quiet.max(best).max(from)));
-            }
-            if ac != 0 {
-                let act_ready = banks.next_activate_slice();
-                let best = min_over(ac, &|b| act_ready[b]);
-                next = next.min(bump(quiet.max(act_floor).max(best).max(from)));
-            }
-            if next <= from {
-                return from;
-            }
-        }
-        next
-    }
-
-    /// Channel-level completion of
-    /// [`DramDevice::rank_level_next_legal_at`]: for every `cmd` and
-    /// `from`, `next_legal_at(cmd, from)` equals
-    /// `channel_legal_at(cmd, rank_level_next_legal_at(cmd, from))`.
-    /// Monotone non-decreasing in `at`; depends on `cmd` only through
-    /// its rank and CAS direction.
-    pub fn channel_legal_at(&self, cmd: &Command, at: Cycle) -> Cycle {
+        let at = self.ranks[cmd.rank.0 as usize].next_legal_at(cmd, &self.t).max(from);
         if at == Cycle::MAX {
             return at;
         }
-        let at = self.channel.next_data_slot_at(cmd, at, &self.t);
-        // Command bus: one command per cycle.
+        self.command_bus_free(self.channel.next_data_slot_at(cmd, at, &self.t))
+    }
+
+    /// `at`, or the cycle after it when a command already issued at `at`
+    /// (the command bus carries one command per cycle).
+    pub fn command_bus_free(&self, at: Cycle) -> Cycle {
         if self.last_issue == Some(at) {
             at + 1
         } else {

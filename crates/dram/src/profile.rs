@@ -182,15 +182,4 @@ mod tests {
         assert_eq!(p.geometry, Geometry::paper_default());
         assert_eq!(p.geometry.bank_groups(), 1);
     }
-
-    #[test]
-    fn hbm2_banks_fit_fast_path_masks() {
-        // The fast path's per-rank bank masks are u128; every profile's
-        // ranks*banks per channel must fit.
-        for g in DeviceGeneration::all() {
-            let p = g.profile();
-            let bits = p.geometry.ranks_per_channel() as u32 * p.geometry.banks_per_rank() as u32;
-            assert!(bits <= 128, "{g}: {bits} bank bits exceed the u128 fast-path mask");
-        }
-    }
 }

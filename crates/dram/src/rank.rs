@@ -306,13 +306,13 @@ impl RankState {
         at
     }
 
-    /// Rank-common pieces of the fused event-bound scan (see
-    /// [`crate::DramDevice::next_event_bound`]): `(quiet, act_floor,
+    /// Rank-common legality floors (see
+    /// [`crate::DramDevice::rank_floor_parts`]): `(quiet, act_floor,
     /// next_read, next_write)`, where `quiet` is the refresh/power-wake
     /// floor every command shares and `act_floor` additionally folds in
     /// tRRD and the tFAW rolling window. `None` while powered down —
-    /// only a `PowerDownExit` could change that, and it is never an
-    /// event-scan candidate.
+    /// only a `PowerDownExit` could change that, and no scheduler
+    /// candidate is one.
     pub fn event_bound_parts(&self, t: &TimingParams) -> Option<(Cycle, Cycle, Cycle, Cycle)> {
         if let PowerState::PoweredDown { .. } = self.power {
             return None;

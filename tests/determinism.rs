@@ -106,8 +106,8 @@ fn fast_path_is_bit_identical_for_every_policy() {
     }
 }
 
-/// The same contract on every device generation: the fast path's
-/// `next_event_bound` folds the bank-group CAS floors and the LPDDR4/HBM
+/// The same contract on every device generation: the baseline's
+/// quiet-tick bound folds the bank-group CAS floors and the LPDDR4/HBM
 /// timing extremes into its skip bounds, so a single missed wake-up on
 /// any profile would surface here as a stats or command-log diff.
 #[test]
